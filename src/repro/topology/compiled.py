@@ -200,7 +200,9 @@ class KernelCounters:
     deletion's replacement hunt as ``dynconn_replacement_searches``, while
     the move engine's guarded fallback records each full O(V+E) component
     sweep as ``reachability_rebuilds`` — the E10/E13 gates assert the latter
-    stays at zero on deletion-bearing move sequences.
+    stays at zero on deletion-bearing move sequences.  k-median local search
+    (:mod:`repro.optimization.facility_location`) records every candidate
+    swap it prices as ``facility_swap_trials``.
 
     Algorithm-count counters (``single_source``/``multi_source``/``bfs``/
     ``components``) are **backend-independent**: a batch scipy call records
@@ -237,6 +239,7 @@ class KernelCounters:
         "dynconn_tree_ops",
         "dynconn_replacement_searches",
         "reachability_rebuilds",
+        "facility_swap_trials",
     )
 
     def __init__(self) -> None:
