@@ -1,53 +1,43 @@
-"""Dynamic-connectivity engine vs the legacy rebuild-based move engine.
+"""Dynamic-connectivity move engine vs a per-move component sweep.
 
 The HDT structure (``repro.topology.dynconn``) claims O(log² n) per edge
-deletion where the legacy engine paid a full O(V+E) reachability sweep plus
-an O(V) union-find snapshot.  This benchmark pins the claim from two sides:
+deletion, where the simplest adequate alternative recomputes reachability
+with one O(V+E) component sweep after every structural change.  One
+pre-generated deletion-heavy move trace (n=2000 full, n=400 smoke; ≥50%
+``RemoveLink``/``Rewire``, integral demands, ``CostObjective``) is replayed
+two ways:
 
-1. **Deletion-heavy local search** (n=2000 full, n=400 smoke): one
-   pre-generated move trace — ≥50% ``RemoveLink``/``Rewire``, integral
-   demands, ``CostObjective`` — replayed through both engines.  Gates: the
-   dynconn engine is >=10x faster (>=2x smoke), its trajectory is
-   **bit-identical** (per-move deltas, running score, final edge set), it
-   never rebuilds reachability, and the legacy engine rebuilds on every
-   deletion-bearing move.
-2. **Failure-cascade fixed point** (n=10000 full, n=2000 smoke): the same
-   provisioned surge cascaded to a fixed point under each engine (the
-   legacy leg via ``REPRO_DYNCONN=0``).  Gates: per-round load hashes are
-   byte-identical, the trip sequences agree, and the dynconn leg performs
-   measurably fewer sweep-equivalent operations — zero linear-cost
-   connectivity operations against the legacy leg's one rebuild (plus O(V)
-   snapshot) per round, with the measured ETT ops per tripped link pinned
-   under a polylog bound.  Wall-clock is reported, not gated — the cascade
-   is dominated by routing, not connectivity.
+* through :class:`~repro.optimization.incremental.IncrementalState`, which
+  keeps served demand on the dynamic-connectivity forest;
+* on a plain :class:`~repro.topology.graph.Topology`, recomputing served
+  demand with one ``components_indices`` sweep after every move and every
+  revert (the reference).
+
+Gates: the served-demand trajectory is **bit-identical** between the two
+(integral demands make every sum exact), the final edge sets agree, the
+incremental score matches a full evaluation, and the engine is >=10x faster
+(>=2x smoke) than the reference.
 
 Writes ``BENCH_dynconn.json`` and a text table under ``benchmarks/results/``.
-Pure bookkeeping either way: the benchmark behaves identically under both
-``REPRO_BACKEND`` settings (CI runs it on both legs).
+The benchmark behaves identically under both ``REPRO_BACKEND`` settings:
+the sweep's component labels are canonical on either backend.
 """
 
 from __future__ import annotations
 
-import math
-import os
 import random
 import struct
 import sys
 
 from repro.core.objectives import CostObjective
-from repro.economics.cables import default_catalog
-from repro.economics.provisioning import provision_topology
 from repro.experiments.reporting import emit_rows, timed, write_bench_json
-from repro.geography.demand import DemandMatrix
 from repro.optimization.incremental import (
     AddLink,
     IncrementalState,
     RemoveLink,
     Rewire,
 )
-from repro.routing.engine import route_demand
-from repro.routing.temporal import failure_cascade
-from repro.topology.compiled import KERNEL_COUNTERS
+from repro.topology.compiled import KERNEL_COUNTERS, components_indices
 from repro.topology.graph import Topology
 from repro.topology.node import NodeRole
 
@@ -55,11 +45,6 @@ NUM_NODES = 2000
 SMOKE_NUM_NODES = 400
 NUM_MOVES = 600
 SMOKE_NUM_MOVES = 200
-CASCADE_NUM_NODES = 10_000
-SMOKE_CASCADE_NUM_NODES = 2_000
-# The cable ladder's capacity steps are ~3.4-4x apart, so a provisioned
-# link only trips when the surge outruns its band: 4x clears every step.
-CASCADE_SURGE = 4.0
 SEED = 59
 SPEEDUP_FLOOR = 10.0
 SMOKE_SPEEDUP_FLOOR = 2.0
@@ -74,8 +59,8 @@ def build_anneal_instance(size: int, seed: int) -> Topology:
 
     Integral demands are exact in float and their component sums stay under
     2^53, so the dynconn engine's correctly-rounded fixed-point sums
-    coincide bitwise with the legacy engine's accumulated floats — which is
-    what lets the trajectory gate demand bit-identity, not tolerance.
+    coincide bitwise with the sweep's accumulated floats — which is what
+    lets the trajectory gate demand bit-identity, not tolerance.
     """
     rng = random.Random(seed)
     topology = Topology(name=f"dynconn-anneal-{size}")
@@ -99,14 +84,21 @@ def build_anneal_instance(size: int, seed: int) -> Topology:
     return topology
 
 
+def apply_link_ops(topology: Topology, link_ops) -> None:
+    for op, a, b in link_ops:
+        (topology.add_link if op == "add" else topology.remove_link)(a, b)
+
+
 def generate_trace(size: int, seed: int, num_moves: int):
     """A deletion-heavy apply/revert trace, valid from the seed instance.
 
     Generated against a throwaway mirror of the instance (link presence is
-    all that move validity depends on), so both engines replay the exact
-    same sequence.  Mix: 50% RemoveLink, ~15% Rewire, rest AddLink, with a
-    20% revert after each applied move — well past the >=50%
-    deletion-bearing floor once Rewire and reverts of AddLink are counted.
+    all that move validity depends on), so both legs replay the exact same
+    sequence.  Mix: 50% RemoveLink, ~15% Rewire, rest AddLink, with a 20%
+    revert after each applied move — well past the >=50% deletion-bearing
+    floor once Rewire and reverts of AddLink are counted.  Every entry is
+    ``(op, move, link_ops)``: ``link_ops`` are the plain link additions and
+    removals the entry performs, which the reference leg replays.
     """
     mirror = build_anneal_instance(size, seed)
     rng = random.Random(seed + 1)
@@ -119,7 +111,7 @@ def generate_trace(size: int, seed: int, num_moves: int):
         if roll < 0.50:
             link = rng.choice(list(mirror.links()))
             move = RemoveLink(link.source, link.target)
-            mirror.remove_link(link.source, link.target)
+            forward = (("remove", link.source, link.target),)
             undo.append((("add", link.source, link.target),))
             deletions += 1
         elif roll < 0.65:
@@ -132,8 +124,7 @@ def generate_trace(size: int, seed: int, num_moves: int):
             if mirror.has_link(node, new):
                 continue
             move = Rewire(node, old, new)
-            mirror.remove_link(node, old)
-            mirror.add_link(node, new)
+            forward = (("remove", node, old), ("add", node, new))
             undo.append((("remove", node, new), ("add", node, old)))
             deletions += 1
         else:
@@ -141,188 +132,98 @@ def generate_trace(size: int, seed: int, num_moves: int):
             if mirror.has_link(u, v):
                 continue
             move = AddLink(u, v, install_cost=2.0, usage_cost=0.05)
-            mirror.add_link(u, v)
+            forward = (("add", u, v),)
             undo.append((("remove", u, v),))
-        trace.append(("apply", move))
+        apply_link_ops(mirror, forward)
+        trace.append(("apply", move, forward))
         applied += 1
         if rng.random() < 0.20:
-            for op, a, b in undo.pop():
-                if op == "add":
-                    mirror.add_link(a, b)
-                else:
-                    mirror.remove_link(a, b)
-            trace.append(("revert", None))
+            inverse = undo.pop()
+            apply_link_ops(mirror, inverse)
+            trace.append(("revert", None, inverse))
     return trace, deletions
 
 
 def replay(state: IncrementalState, trace) -> list:
-    deltas = []
-    for op, move in trace:
+    """Replay through the move engine; served demand after every entry."""
+    served = []
+    for op, move, _ in trace:
         if op == "apply":
-            deltas.append(state.apply(move))
+            state.apply(move)
         else:
             state.revert()
-    return deltas
+        served.append(state.served_demand)
+    return served
+
+
+def swept_served_demand(topology: Topology) -> float:
+    """Served demand from one fresh ``components_indices`` sweep."""
+    graph = topology.compiled()
+    labels, count = components_indices(graph)
+    demand = [0.0] * count
+    has_core = [False] * count
+    for index, label in enumerate(labels):
+        node = topology.node(graph.ids[index])
+        if node.role == NodeRole.CUSTOMER:
+            demand[label] += node.demand
+        has_core[label] = has_core[label] or node.role == NodeRole.CORE
+    served = 0.0
+    for label in range(count):
+        if has_core[label]:
+            served += demand[label]
+    return served
+
+
+def reference_replay(topology: Topology, trace) -> list:
+    """Replay the trace's link ops on a plain topology; one sweep per entry."""
+    served = []
+    for _, _, link_ops in trace:
+        apply_link_ops(topology, link_ops)
+        served.append(swept_served_demand(topology))
+    return served
 
 
 def time_engines(size: int, num_moves: int, seed: int):
-    """Replay one trace through both engines; time, compare, and count."""
+    """Replay one trace through both legs; time, compare, and count."""
     trace, deletions = generate_trace(size, seed, num_moves)
 
-    dyn_state = IncrementalState(
-        build_anneal_instance(size, seed), CostObjective(), use_dynconn=True
-    )
+    state = IncrementalState(build_anneal_instance(size, seed), CostObjective())
     before = KERNEL_COUNTERS.snapshot()
-    t_dyn, dyn_deltas = timed(lambda: replay(dyn_state, trace))
-    mid = KERNEL_COUNTERS.snapshot()
-    legacy_state = IncrementalState(
-        build_anneal_instance(size, seed), CostObjective(), use_dynconn=False
-    )
-    start = KERNEL_COUNTERS.snapshot()
-    t_legacy, legacy_deltas = timed(lambda: replay(legacy_state, trace))
+    t_dyn, dyn_served = timed(lambda: replay(state, trace))
     after = KERNEL_COUNTERS.snapshot()
+    reference = build_anneal_instance(size, seed)
+    t_sweep, swept = timed(lambda: reference_replay(reference, trace))
 
-    # Bit-identical trajectories: every delta, the running score, the edges.
-    assert [_bits(d) for d in dyn_deltas] == [_bits(d) for d in legacy_deltas]
-    assert _bits(dyn_state.score) == _bits(legacy_state.score)
-    assert list(dyn_state.topology.link_keys()) == list(
-        legacy_state.topology.link_keys()
-    )
-    dyn_state.verify()
-    legacy_state.verify()
-
-    dyn_rebuilds = mid["reachability_rebuilds"] - before["reachability_rebuilds"]
-    legacy_rebuilds = after["reachability_rebuilds"] - start["reachability_rebuilds"]
-    assert dyn_rebuilds == 0, dyn_rebuilds
-    assert legacy_rebuilds >= deletions, (legacy_rebuilds, deletions)
+    # Bit-identical served-demand trajectories and the same final edge set.
+    assert [_bits(d) for d in dyn_served] == [_bits(d) for d in swept]
+    assert set(state.topology.link_keys()) == set(reference.link_keys())
+    state.verify()
     return {
         "size": size,
         "moves": num_moves,
+        "trace_entries": len(trace),
         "deletion_moves": deletions,
         "dynconn_seconds": t_dyn,
-        "legacy_seconds": t_legacy,
-        "speedup": t_legacy / t_dyn,
-        "dynconn_rebuilds": dyn_rebuilds,
-        "legacy_rebuilds": legacy_rebuilds,
-        "dynconn_tree_ops": mid["dynconn_tree_ops"] - before["dynconn_tree_ops"],
-        "replacement_searches": mid["dynconn_replacement_searches"]
+        "sweep_seconds": t_sweep,
+        "speedup": t_sweep / t_dyn,
+        "dynconn_tree_ops": after["dynconn_tree_ops"] - before["dynconn_tree_ops"],
+        "replacement_searches": after["dynconn_replacement_searches"]
         - before["dynconn_replacement_searches"],
-        "trajectory_bit_identical": True,
-    }
-
-
-def build_cascade_instance(num_nodes: int, seed: int):
-    """A provisioned geometric backbone plus its surged demand."""
-    rng = random.Random(seed)
-    topology = Topology(name=f"dynconn-cascade-{num_nodes}")
-    for i in range(num_nodes):
-        topology.add_node(i, location=(rng.random(), rng.random()))
-    for i in range(1, num_nodes):
-        topology.add_link(i, rng.randrange(i))
-    added = 0
-    while added < num_nodes // 2:
-        u, v = rng.randrange(num_nodes), rng.randrange(num_nodes)
-        if u != v and not topology.has_link(u, v):
-            topology.add_link(u, v)
-            added += 1
-    endpoints = [str(i) for i in range(num_nodes)]
-    chosen = set()
-    while len(chosen) < num_nodes // 10:
-        u, v = rng.randrange(num_nodes), rng.randrange(num_nodes)
-        if u != v:
-            chosen.add((min(u, v), max(u, v)))
-    sources, targets, volumes = [], [], []
-    for u, v in sorted(chosen):
-        sources.append(u)
-        targets.append(v)
-        volumes.append(float(rng.randint(1, 16)))
-    demand = DemandMatrix.from_arrays(endpoints, sources, targets, volumes)
-    endpoint_map = {str(i): i for i in range(num_nodes)}
-    base = route_demand(topology, demand, endpoint_map=endpoint_map, backend="python")
-    provision_topology(topology, default_catalog(), flow=base)
-    return topology, demand.scaled(CASCADE_SURGE), endpoint_map
-
-
-def time_cascade(num_nodes: int, seed: int):
-    """One surge cascaded to a fixed point under each engine."""
-    topology, surge, endpoint_map = build_cascade_instance(num_nodes, seed)
-
-    def run_leg():
-        before = KERNEL_COUNTERS.snapshot()
-        seconds, cascade = timed(
-            lambda: failure_cascade(
-                topology, surge, endpoint_map=endpoint_map, backend="python"
-            )
-        )
-        after = KERNEL_COUNTERS.snapshot()
-        return seconds, cascade, {k: after[k] - before[k] for k in after}
-
-    t_dyn, dyn_cascade, dyn_spent = run_leg()
-    saved = os.environ.get("REPRO_DYNCONN")
-    os.environ["REPRO_DYNCONN"] = "0"
-    try:
-        t_legacy, legacy_cascade, legacy_spent = run_leg()
-    finally:
-        if saved is None:
-            del os.environ["REPRO_DYNCONN"]
-        else:
-            os.environ["REPRO_DYNCONN"] = saved
-
-    assert dyn_cascade.fixed_point and legacy_cascade.fixed_point
-    assert dyn_cascade.total_trips > 0, "cascade instance must actually trip"
-    assert dyn_cascade.step_hashes() == legacy_cascade.step_hashes()
-    assert dyn_cascade.tripped_keys == legacy_cascade.tripped_keys
-    assert dyn_spent["reachability_rebuilds"] == 0, dyn_spent
-    assert legacy_spent["reachability_rebuilds"] > 0, legacy_spent
-    # Sweep-equivalent operations: connectivity operations whose cost scales
-    # linearly with the graph (a reachability sweep, or the O(V) union-find
-    # snapshot that rides along with each one).  The legacy leg pays one per
-    # cascade round; the dynconn leg pays none — every trip is O(polylog),
-    # pinned by bounding its *measured* ETT ops per trip.  tree_ops spends
-    # V-1 links on engine construction and mirrors the delete-phase work
-    # once more in the restore unwind; the remainder is the deletions.
-    trips = dyn_cascade.total_trips
-    per_trip = (dyn_spent["dynconn_tree_ops"] - (num_nodes - 1)) / (2 * trips)
-    assert per_trip <= 4 * math.log2(num_nodes), (per_trip, num_nodes)
-    return {
-        "size": num_nodes,
-        "rounds": dyn_cascade.num_rounds,
-        "total_trips": trips,
-        "dynconn_seconds": t_dyn,
-        "legacy_seconds": t_legacy,
-        "round_hashes_identical": True,
-        "dynconn_rebuilds": dyn_spent["reachability_rebuilds"],
-        "legacy_rebuilds": legacy_spent["reachability_rebuilds"],
-        "dynconn_tree_ops": dyn_spent["dynconn_tree_ops"],
-        "tree_ops_per_trip": per_trip,
+        "served_trajectory_bit_identical": True,
     }
 
 
 def run_benchmark(smoke: bool = False):
     size = SMOKE_NUM_NODES if smoke else NUM_NODES
     moves = SMOKE_NUM_MOVES if smoke else NUM_MOVES
-    cascade_size = SMOKE_CASCADE_NUM_NODES if smoke else CASCADE_NUM_NODES
     anneal = time_engines(size, moves, SEED)
-    cascade = time_cascade(cascade_size, SEED + 1)
-    results = {
-        "mode": "smoke" if smoke else "full",
-        "anneal": anneal,
-        "cascade": cascade,
-    }
+    results = {"mode": "smoke" if smoke else "full", "anneal": anneal}
     rows = [
         {
             "workload": f"deletion-heavy moves (n={anneal['size']})",
             "dynconn_s": round(anneal["dynconn_seconds"], 3),
-            "legacy_s": round(anneal["legacy_seconds"], 3),
+            "sweep_s": round(anneal["sweep_seconds"], 3),
             "speedup": round(anneal["speedup"], 1),
-            "rebuilds": f"{anneal['dynconn_rebuilds']}/{anneal['legacy_rebuilds']}",
-        },
-        {
-            "workload": f"failure cascade (n={cascade['size']})",
-            "dynconn_s": round(cascade["dynconn_seconds"], 3),
-            "legacy_s": round(cascade["legacy_seconds"], 3),
-            "speedup": "-",
-            "rebuilds": f"{cascade['dynconn_rebuilds']}/{cascade['legacy_rebuilds']}",
         },
     ]
     return results, rows
@@ -334,17 +235,9 @@ def check_acceptance(results, smoke: bool = False):
     assert anneal["speedup"] >= floor, (
         f"dynconn engine speedup {anneal['speedup']:.1f}x under the {floor}x floor"
     )
-    assert anneal["trajectory_bit_identical"]
-    assert anneal["dynconn_rebuilds"] == 0
-    assert anneal["legacy_rebuilds"] > 0
+    assert anneal["served_trajectory_bit_identical"]
+    assert anneal["replacement_searches"] > 0
     assert 2 * anneal["deletion_moves"] >= anneal["moves"], anneal
-    cascade = results["cascade"]
-    assert cascade["round_hashes_identical"]
-    # Measurably fewer sweep-equivalent operations: zero against one per
-    # round, with the per-trip work pinned polylog by time_cascade.
-    assert cascade["dynconn_rebuilds"] == 0
-    assert cascade["dynconn_rebuilds"] < cascade["legacy_rebuilds"]
-    assert cascade["tree_ops_per_trip"] <= 4 * math.log2(cascade["size"])
 
 
 def main(smoke: bool = False):
@@ -353,7 +246,7 @@ def main(smoke: bool = False):
     path = write_bench_json("dynconn", results)
     emit_rows(
         "dynconn",
-        "dynamic-connectivity engine vs rebuild-based deletions",
+        "dynamic-connectivity engine vs a component sweep per move",
         rows,
         slug="dynamic_connectivity",
     )
@@ -361,7 +254,7 @@ def main(smoke: bool = False):
 
 
 def test_dynamic_connectivity_engine():
-    """Bit-identity, counter, and relaxed speedup gates at the CI size."""
+    """Bit-identity and relaxed speedup gates at the CI size."""
     main(smoke=True)
 
 

@@ -429,8 +429,8 @@ def check(tables: Tables, smoke: bool) -> None:
         assert row["incremental_full_evals"] <= 2, row
         assert row["delta_evals"] >= 50 * max(1, row["incremental_full_evals"]), row
         # O(polylog) deletion claim: the move mix is deletion-bearing
-        # (RemoveLink tear-outs), yet the dynamic-connectivity engine never
-        # falls back to a full reachability sweep.
+        # (RemoveLink tear-outs), yet the move engine never runs a full
+        # reachability sweep.
         assert row["reachability_rebuilds"] == 0, row
         assert row["audited_moves"] > 0, row
     for row in tables["isp_refine"]:

@@ -23,8 +23,8 @@ payloads stay byte-identical across environments:
   identically), backend-parity holds when scipy is available (per-round
   SHA-256 of load columns and identical trip sequences), ``cascade_trips``
   counts exactly the links tripped, ``reachability_rebuilds`` stays at zero
-  (every trip is an incremental deletion on the dynamic-connectivity
-  engine, never a full sweep), round-1 trips are monotone non-
+  (every trip is a plain link removal with no connectivity upkeep, never a
+  full sweep), round-1 trips are monotone non-
   increasing in headroom (higher slack can only shrink the first trip set —
   round-1 loads are headroom-independent), and a trip-free cascade sheds
   nothing.  *Total* shed is deliberately **not** gated monotone: a slightly
@@ -133,10 +133,11 @@ def expand(smoke: bool) -> List[Task]:
                 "kind": "cascade",
                 "surge": params["cascade_surge"],
                 "headroom": headroom,
-                # Keys task digests to the dynamic-connectivity engine so
-                # sweep-era cached payloads (which lack the
-                # ``reachability_rebuilds`` field gated below) miss cleanly.
-                "engine": "dynconn",
+                # Keys task digests to how the cascade removes links.  Records
+                # cached under earlier engines carry their kernel counters,
+                # which are part of record identity, so they miss cleanly
+                # instead of mixing into a resumed manifest.
+                "engine": "remove-link",
                 **shared,
             }
         )
@@ -358,9 +359,8 @@ def check(tables: Tables, smoke: bool) -> None:
             assert row["parity_ok"], row
         # cascade_trips counts exactly the tripped links of the (first) run.
         assert row["trip_counter"] == row["total_trips"], row
-        # Every trip is an incremental deletion on the dynamic-connectivity
-        # engine — a bounded replacement-edge search, never a full
-        # reachability sweep.
+        # Every trip is a plain link removal: the cascade keeps no
+        # connectivity structure, so it never runs a reachability sweep.
         assert row["reachability_rebuilds"] == 0, row
         assert 0.0 <= row["served_fraction"] <= 1.0, row
         if row["total_trips"] == 0:

@@ -47,24 +47,24 @@ The cascade trip rule
 whose load exceeds ``capacity * (1 + headroom)`` (a ``1e-9`` absolute
 tolerance absorbs float accumulation; links without a finite capacity never
 trip).  All overloaded links of a round trip *together*, in ascending edge
-order — the deterministic batch becomes one
-:class:`~repro.optimization.incremental.RemoveLinks` move, applied as
-incremental deletions on the move engine's dynamic-connectivity structure
-(:mod:`repro.topology.dynconn`) — one bounded replacement-edge search per
-tripped tree edge, never a full reachability sweep.  Only the
-sources that carried flow on a tripped link are re-routed (their retained
-columns are the ones the removals invalidated; on tie-free instances every
-other source's unique shortest paths are untouched, and in ECMP mode the
-retained column covers *all* tied paths, so the nonzero-on-tripped test is
-exact).  Rounds iterate until no link trips; demand whose targets become
-unreachable is **shed** and shows up in the round's ``unrouted`` column.
+order, as plain :meth:`~repro.topology.graph.Topology.remove_link` calls.
+No connectivity structure is maintained: routing already sheds demand whose
+targets became unreachable, so the cascade needs nothing beyond the
+recompiled graph.  Only the sources that carried flow on a tripped link are
+re-routed (their retained columns are the ones the removals invalidated; on
+tie-free instances every other source's unique shortest paths are
+untouched, and in ECMP mode the retained column covers *all* tied paths, so
+the nonzero-on-tripped test is exact).  Rounds iterate until no link trips;
+demand whose targets become unreachable is **shed** and shows up in the
+round's ``unrouted`` column.
 
 Headroom semantics: ``headroom`` is survivability slack — the fraction of
 extra capacity a link can absorb before tripping.  ``headroom=0.0`` trips at
 the provisioned capacity; larger values resist the cascade, and the E13
 suite sweeps it to map served fraction against slack.  The topology is
-restored (``restore=True``) by rewinding the undo stack, so the cascade is
-an analysis, not a mutation.
+restored (``restore=True``) by re-inserting the original ``Link`` objects
+and their captured dict orders, so the cascade is an analysis, not a
+mutation.
 """
 
 from __future__ import annotations
@@ -948,11 +948,9 @@ def failure_cascade(
     Each round routes the full demand (retained per-source columns — only
     the sources whose flow crossed a tripped link are re-routed), trips every
     link whose load exceeds ``capacity * (1 + headroom)`` in ascending edge
-    order, removes the batch through one
-    :class:`~repro.optimization.incremental.RemoveLinks` move (incremental
-    deletions on the dynamic-connectivity engine — no reachability sweep,
-    ``KERNEL_COUNTERS.reachability_rebuilds`` stays at zero), and recompiles
-    the degraded graph.
+    order, removes the batch with :meth:`Topology.remove_link` (no
+    connectivity upkeep: routing sheds unreachable demand on its own), and
+    recompiles the degraded graph.
     Links without a finite installed capacity (``link.capacity is None``)
     never trip — run :func:`~repro.economics.provisioning.provision_topology`
     first to install capacities.  The cascade terminates because every
@@ -961,10 +959,11 @@ def failure_cascade(
 
     Args:
         topology: A capacity-provisioned topology.  Mutated during the
-            cascade; rewound to its original structure before returning
-            unless ``restore=False`` (the undo stack re-inserts the original
-            ``Link`` objects, leaving the degraded state inspectable only
-            through the per-round results).
+            cascade; rewound before returning unless ``restore=False``.  The
+            rewind re-inserts the original ``Link`` objects and restores the
+            link and adjacency dict orders, so the compiled edge order is
+            byte-identical afterwards.  With ``restore=False`` exactly the
+            tripped links stay removed.
         demand: A :class:`~repro.geography.demand.DemandMatrix` or a
             :class:`~repro.routing.engine.CompiledDemand` against the
             topology's current snapshot.
@@ -1016,13 +1015,11 @@ def failure_cascade(
             f"CompiledDemand, got {type(demand).__name__}"
         )
 
-    # Lazy imports: optimization consumes routing results elsewhere, so the
-    # move vocabulary is pulled in at call time to keep imports acyclic.
-    from ..core.objectives import CostObjective
-    from ..optimization.incremental import IncrementalState, RemoveLinks
-
-    state = IncrementalState(topology, CostObjective())
-    base_depth = state.undo_depth
+    # Rewind data: the link dict order now, each node's adjacency order
+    # before its first removal, and the removed Link objects themselves.
+    links_order = list(topology._links)
+    adjacency_order: Dict[Any, List[Any]] = {}
+    removed: List[Any] = []
     graph = compiled.graph
     groups = _pair_groups(compiled.sources)
     columns: Dict[int, Any] = {}
@@ -1084,7 +1081,12 @@ def failure_cascade(
                 fixed_point = False
                 break
             KERNEL_COUNTERS.cascade_trips += len(tripped_edges)
-            state.apply(RemoveLinks(tuple(tripped_keys)))
+            for u, v in tripped_keys:
+                for end in (u, v):
+                    if end not in adjacency_order:
+                        adjacency_order[end] = list(topology._adjacency[end])
+                removed.append(topology.link(u, v))
+                topology.remove_link(u, v)
             # Only sources whose retained flow crossed a tripped link need a
             # re-route; everyone else's column survives the removals (exact
             # on tie-free instances; exact in ECMP mode because the column
@@ -1095,7 +1097,9 @@ def failure_cascade(
             graph = new_graph
     finally:
         if restore:
-            state.revert_to(base_depth)
+            for link in reversed(removed):
+                topology.add_link_object(link)
+            topology._restore_link_order(links_order, adjacency_order)
     return CascadeResult(
         rounds=rounds,
         fixed_point=fixed_point,

@@ -197,10 +197,10 @@ class KernelCounters:
     tripped by a failure cascade as ``cascade_trips``.  The dynamic
     connectivity engine (:mod:`repro.topology.dynconn`) records every
     Euler-tour link/cut as ``dynconn_tree_ops`` and every tree-edge
-    deletion's replacement hunt as ``dynconn_replacement_searches``, while
-    the move engine's guarded fallback records each full O(V+E) component
-    sweep as ``reachability_rebuilds`` — the E10/E13 gates assert the latter
-    stays at zero on deletion-bearing move sequences.  k-median local search
+    deletion's replacement hunt as ``dynconn_replacement_searches``.
+    ``reachability_rebuilds`` stays, always 0 (no engine runs a full
+    component sweep), because the benchmark harness (``perfbench/run.py``)
+    and the E10/E13 payloads read it.  k-median local search
     (:mod:`repro.optimization.facility_location`) records every candidate
     swap it prices as ``facility_swap_trials``.
 

@@ -1,15 +1,13 @@
 """Fully-dynamic connectivity with exact per-component service aggregates.
 
 The move engine (:mod:`repro.optimization.incremental`) answers "what does
-this change cost?" in O(Δ) for additions, but before this module every
-deletion — ``RemoveLink``, the removal half of ``Rewire``, each
-``RemoveLinks`` cascade batch — paid a full O(V+E) component sweep plus an
-O(V) union-find snapshot, because a union-find cannot split.  This module is
-the structure that can: a Holm–de Lichtenberg–Thorup (HDT) level-structured
-spanning forest over Euler-tour trees, giving amortized O(log² n) edge
-insertion/deletion, O(log n) connectivity queries, O(log n) per-component
-aggregate queries, and exact-undo tokens matching the move engine's LIFO
-rollback discipline.
+this change cost?" in O(Δ), deletions included — ``RemoveLink`` and the
+removal half of ``Rewire`` — so it needs connectivity that can split, which
+a union-find cannot.  This module is that structure: a Holm–de
+Lichtenberg–Thorup (HDT) level-structured spanning forest over Euler-tour
+trees, giving amortized O(log² n) edge insertion/deletion, O(log n)
+connectivity queries, O(log n) per-component aggregate queries, and
+exact-undo tokens matching the move engine's LIFO rollback discipline.
 
 Level structure
 ---------------
@@ -443,7 +441,9 @@ class DynamicConnectivity:
         perfectly balanced BSTs with bottom-up sums; every non-forest edge
         becomes a level-0 non-tree edge.  Equivalent to, but much cheaper
         than, incremental insertion — :class:`IncrementalState` rebuilds
-        through this path so engine construction stays linear.
+        through this path so engine construction stays linear.  The move
+        engine is the only client: failure cascades remove links without
+        any connectivity upkeep.
         """
         if self._num_vertices or self._edges:
             raise ValueError("build() requires an empty structure")

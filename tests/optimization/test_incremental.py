@@ -212,6 +212,30 @@ class TestMoves:
         assert moved.usage_cost == pytest.approx(0.2)
         state.verify()
 
+    def test_remove_link_revert_restores_edge_order(self):
+        topology = random_access_tree(6)
+        state = IncrementalState(topology, CostObjective())
+        edge_keys_before = list(topology.compiled().edge_keys)
+        depth = state.undo_depth
+        for key in list(topology.link_keys())[:3]:
+            state.apply(RemoveLink(*key))
+        assert topology.num_links == len(edge_keys_before) - 3
+        state.revert_to(depth)
+        # Not just the same link set: the same *iteration order*, so the
+        # recompiled edge space is identical.
+        assert list(topology.compiled().edge_keys) == edge_keys_before
+        state.verify()
+
+    def test_remove_missing_link_rejected_before_mutation(self):
+        topology = random_access_tree(6)
+        state = IncrementalState(topology, CostObjective())
+        links_before = topology.num_links
+        with pytest.raises(TopologyError):
+            state.apply(RemoveLink("c0", "no-such-node"))
+        assert topology.num_links == links_before
+        assert state.undo_depth == 0
+        state.verify()
+
     def test_duplicate_link_rejected_without_corruption(self):
         topology = random_access_tree(4)
         state = IncrementalState(topology, CostObjective())

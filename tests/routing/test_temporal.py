@@ -7,8 +7,6 @@ import pytest
 from repro.economics.cables import default_catalog
 from repro.economics.provisioning import provision_topology
 from repro.geography.demand import DemandMatrix
-from repro.core.objectives import CostObjective
-from repro.optimization.incremental import IncrementalState, RemoveLinks
 from repro.routing.engine import route_demand
 from repro.routing.options import RoutingOptions
 from repro.routing.temporal import (
@@ -285,21 +283,41 @@ class TestFailureCascade:
         assert cascade.num_rounds == 1
         assert len(cascade.rounds[0].tripped) > 0
 
-    def test_engine_swap_preserves_round_hashes(self, monkeypatch):
-        """The dynamic-connectivity engine is a pure accounting swap: every
-        per-round load hash (and the pinned fixed point) is byte-identical to
-        the legacy sweep engine, and only the legacy engine ever rebuilds."""
+    def test_restore_is_exact_and_maintains_no_connectivity(self):
+        """The cascade removes and re-inserts links directly: no dynamic
+        connectivity or objective runs, and restore=True puts back the
+        original Link objects in their original dict orders — also when
+        max_rounds stops the cascade with trips still pending."""
         topo, surge, emap = self.cascade_instance()
-        KERNEL_COUNTERS.reset()
-        dynconn = failure_cascade(topo, surge, endpoint_map=emap, backend="python")
-        assert KERNEL_COUNTERS.snapshot()["reachability_rebuilds"] == 0
-        monkeypatch.setenv("REPRO_DYNCONN", "0")
-        legacy = failure_cascade(topo, surge, endpoint_map=emap, backend="python")
-        assert KERNEL_COUNTERS.snapshot()["reachability_rebuilds"] > 0
-        assert dynconn.step_hashes() == legacy.step_hashes()
-        assert dynconn.tripped_keys == legacy.tripped_keys
-        assert dynconn.served_fraction == legacy.served_fraction
-        assert dynconn.step_hashes()[-1] == PINNED_CASCADE_HASH
+        edge_keys = list(topo.compiled().edge_keys)
+        adjacency = {u: topo.neighbors(u) for u in topo.node_ids()}
+        links = {link.key: link for link in topo.links()}
+        for max_rounds in (None, 3):
+            before = KERNEL_COUNTERS.snapshot()
+            cascade = failure_cascade(
+                topo, surge, endpoint_map=emap, backend="python", max_rounds=max_rounds
+            )
+            after = KERNEL_COUNTERS.snapshot()
+            assert after["dynconn_tree_ops"] == before["dynconn_tree_ops"]
+            assert after["objective_full_evals"] == before["objective_full_evals"]
+            assert cascade.total_trips > 0
+            assert list(topo.compiled().edge_keys) == edge_keys
+            assert {u: topo.neighbors(u) for u in topo.node_ids()} == adjacency
+            assert all(topo.link(*key) is link for key, link in links.items())
+            if max_rounds is None:
+                assert cascade.step_hashes()[-1] == PINNED_CASCADE_HASH
+            else:
+                assert not cascade.fixed_point
+
+    def test_no_restore_leaves_tripped_links_removed(self):
+        topo, surge, emap = self.cascade_instance()
+        keys_before = set(topo.link_keys())
+        cascade = failure_cascade(
+            topo, surge, endpoint_map=emap, backend="python", restore=False
+        )
+        assert cascade.total_trips > 0
+        assert set(topo.link_keys()) == keys_before - set(cascade.tripped_keys)
+        assert topo.num_links == len(keys_before) - cascade.total_trips
 
     def test_cascade_trip_counter(self):
         topo, surge, emap = self.cascade_instance()
@@ -315,40 +333,6 @@ class TestFailureCascade:
             failure_cascade(topo, surge, endpoint_map=emap, max_rounds=0)
         with pytest.raises(TypeError, match="Topology first"):
             failure_cascade(surge, surge)
-
-
-class TestRemoveLinksMove:
-    def build_state(self):
-        topo, _, _ = random_instance(15, 8, 31)
-        return topo, IncrementalState(topo, CostObjective())
-
-    def test_batch_revert_restores_edge_order(self):
-        topo, state = self.build_state()
-        edge_keys_before = list(topo.compiled().edge_keys)
-        keys = list(topo.link_keys())[:3]
-        depth = state.undo_depth
-        state.apply(RemoveLinks(tuple(keys)))
-        assert topo.num_links == len(edge_keys_before) - 3
-        state.revert_to(depth)
-        # Not just the same link set: the same *iteration order*, so the
-        # recompiled edge space is identical (cascade determinism needs it).
-        assert list(topo.compiled().edge_keys) == edge_keys_before
-
-    def test_duplicate_link_in_batch_rejected(self):
-        topo, state = self.build_state()
-        key = next(iter(topo.link_keys()))
-        links_before = topo.num_links
-        with pytest.raises(TopologyError, match="duplicate link"):
-            state.apply(RemoveLinks((key, key)))
-        assert topo.num_links == links_before
-
-    def test_missing_link_rejected_before_mutation(self):
-        topo, state = self.build_state()
-        key = next(iter(topo.link_keys()))
-        links_before = topo.num_links
-        with pytest.raises(TopologyError):
-            state.apply(RemoveLinks((key, ("no-such", "link"))))
-        assert topo.num_links == links_before
 
 
 class TestSuiteDeterminism:
