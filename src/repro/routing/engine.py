@@ -32,9 +32,16 @@ Backends
 --------
 
 ``route_demand`` takes the library-wide ``backend=`` switch (see
-:mod:`repro.topology.compiled`).  The ``"python"`` path is the canonical
-reference: one heapq Dijkstra per unique source, predecessor-tree scatter in
-reverse tree-BFS order.  The ``"numpy"`` path batches sources through
+:mod:`repro.topology.compiled`).  Both backends run inside one private
+per-source kernel, :func:`_route_sources`, which has two callers: flat
+routing here (every source scatters into one shared load column) and the
+temporal engine of :mod:`repro.routing.temporal` (every source scatters into
+a fresh column it retains).  Every scatter kernel adds to each edge at most
+once per source, so scattering into fresh columns and summing them gives the
+same bits as scattering straight into a shared column, provided the sources
+come in the same order.  The ``"python"`` path is the canonical reference:
+one heapq Dijkstra per unique source, predecessor-tree scatter in reverse
+tree-BFS order.  The ``"numpy"`` path batches sources through
 ``scipy.sparse.csgraph.dijkstra`` (many sources per call over the cached CSR
 matrix) and replaces the per-node Python loops with array programs:
 
@@ -92,7 +99,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from math import inf
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..topology.compiled import (
     BATCH_CHUNK_CELLS,
@@ -153,18 +160,6 @@ class CompiledDemand:
         """Total compiled volume (excludes unmatched pairs)."""
         return sum(self.volumes)
 
-    def pair_positions_by_source(self) -> Iterator[Tuple[int, List[int]]]:
-        """Yield ``(source_index, pair_positions)`` groups.
-
-        Sources come in first-appearance order and positions preserve pair
-        order, so per-source processing visits every pair exactly once in a
-        deterministic order.
-        """
-        groups: Dict[int, List[int]] = {}
-        for position, source in enumerate(self.sources):
-            groups.setdefault(source, []).append(position)
-        yield from groups.items()
-
 
 def compile_demand(
     topology: Topology,
@@ -194,29 +189,20 @@ def compile_demand(
     endpoint_map = endpoint_map or {}
     graph = topology.compiled()
     index_of = graph.index_of
-    resolved: List[Tuple[int, int, float, Tuple[str, str]]] = []
+    pairs: List[Tuple[int, int]] = []
+    volumes = array("d")
+    labels: List[Tuple[str, str]] = []
     unmatched: List[Tuple[str, str, float]] = []
-    frequency: Dict[int, int] = {}
     for a, b, volume in demand.pairs():
         source = index_of.get(endpoint_map.get(a, a))
         target = index_of.get(endpoint_map.get(b, b))
         if source is None or target is None:
             unmatched.append((a, b, volume))
             continue
-        resolved.append((source, target, volume, (a, b)))
-        frequency[source] = frequency.get(source, 0) + 1
-        frequency[target] = frequency.get(target, 0) + 1
-    sources = array("q")
-    targets = array("q")
-    volumes = array("d")
-    labels: List[Tuple[str, str]] = []
-    for source, target, volume, label in resolved:
-        if frequency[target] > frequency[source]:
-            source, target = target, source
-        sources.append(source)
-        targets.append(target)
+        pairs.append((source, target))
         volumes.append(volume)
-        labels.append(label)
+        labels.append((a, b))
+    sources, targets = _orient_pairs(pairs)
     return CompiledDemand(
         graph=graph,
         sources=sources,
@@ -225,6 +211,28 @@ def compile_demand(
         labels=labels,
         unmatched=unmatched,
     )
+
+
+def _orient_pairs(pairs: List[Tuple[int, int]]) -> Tuple[array, array]:
+    """Orient each pair toward the endpoint shared by more pairs.
+
+    The orientation rule of :func:`compile_demand` and
+    :func:`~repro.routing.temporal.compile_series`: a pair is flipped only
+    when its target appears in strictly more pairs than its source, so ties
+    keep the given order.  Returns the oriented ``(sources, targets)``.
+    """
+    frequency: Dict[int, int] = {}
+    for source, target in pairs:
+        frequency[source] = frequency.get(source, 0) + 1
+        frequency[target] = frequency.get(target, 0) + 1
+    sources = array("q")
+    targets = array("q")
+    for source, target in pairs:
+        if frequency[target] > frequency[source]:
+            source, target = target, source
+        sources.append(source)
+        targets.append(target)
+    return sources, targets
 
 
 @dataclass
@@ -247,6 +255,9 @@ class FlowResult:
     routed_pairs: int
     unrouted: List[Tuple[str, str, float]]
     mode: str
+
+    #: What :meth:`loads_for` calls a stale result of this class.
+    _stale_name = "FlowResult"
 
     @property
     def unrouted_volume(self) -> float:
@@ -306,7 +317,7 @@ class FlowResult:
         graph = topology.compiled()
         if graph is not self.graph:
             raise TopologyError(
-                f"stale FlowResult: routed against snapshot version "
+                f"stale {self._stale_name}: routed against snapshot version "
                 f"{self.graph.version}, but topology {topology.name!r} now "
                 f"compiles to version {graph.version} — re-route the demand "
                 f"instead of repricing a stale load column"
@@ -423,16 +434,14 @@ def _route_compiled(demand: CompiledDemand, opts: RoutingOptions) -> FlowResult:
     weight, mode, method, backend = opts.weight, opts.mode, opts.method, opts.backend
     graph = demand.graph
     weights = graph.edge_weight_column(weight, resolve_weight(weight))
-    positive = graph.num_edges == 0 or _column_min(weights) > 0
-    if mode == "ecmp" and not positive:
-        raise ValueError("ECMP routing requires strictly positive weights")
+    use_numpy = _select_backend(graph, weights, opts)
     if method == "hierarchical":
         from .hierarchical import route_demand_hierarchical
 
         return route_demand_hierarchical(
             demand, weight=weight, mode=mode, backend=backend
         )
-    if method == "auto" and mode == "single" and positive and _auto_hierarchical(demand):
+    if method == "auto" and mode == "single" and _auto_hierarchical(demand, weights):
         from .hierarchical import (
             AUTO_MESH_CELLS,
             OverlayTooLarge,
@@ -449,23 +458,17 @@ def _route_compiled(demand: CompiledDemand, opts: RoutingOptions) -> FlowResult:
             )
         except OverlayTooLarge:
             pass  # mesh over budget: flat batched routing wins this shape
-    if resolve_backend(backend) == "numpy" and graph.num_edges > 0:
-        if positive:
-            return _route_demand_numpy(demand, weights, mode)
-        if backend == "numpy":
-            raise ValueError(
-                "backend='numpy' routing requires strictly positive weights"
-            )
-    return _route_demand_python(demand, weights, mode)
+    return _route_flat(demand, weights, mode, use_numpy)
 
 
-def _auto_hierarchical(demand: CompiledDemand) -> bool:
+def _auto_hierarchical(demand: CompiledDemand, weights: Any) -> bool:
     """Whether ``method="auto"`` should even consider the overlay path.
 
     Hierarchical routing pays an overlay build; it wins when many unique
     sources would each cost a full-graph search on a large graph.  Thresholds
     live in :mod:`repro.routing.hierarchical` (imported lazily — the engine
-    is also the overlay's scatter substrate).
+    is also the overlay's scatter substrate); the overlay needs strictly
+    positive weights.
     """
     graph = demand.graph
     if graph.num_edges == 0:
@@ -474,46 +477,63 @@ def _auto_hierarchical(demand: CompiledDemand) -> bool:
 
     if graph.num_nodes < AUTO_MIN_NODES:
         return False
-    return len(set(demand.sources)) >= AUTO_MIN_UNIQUE_SOURCES
+    if len(set(demand.sources)) < AUTO_MIN_UNIQUE_SOURCES:
+        return False
+    return _column_min(weights) > 0
 
 
-def _route_demand_python(
-    demand: CompiledDemand, weights: Any, mode: str
+def _select_backend(graph: CompiledGraph, weights: Any, opts: RoutingOptions) -> bool:
+    """Backend dispatch for the per-source kernel: True for numpy.
+
+    ECMP and the numpy path require strictly positive weights;
+    ``backend="auto"`` falls back to Python on nonpositive columns while an
+    explicit ``backend="numpy"`` raises.
+    """
+    positive = graph.num_edges == 0 or _column_min(weights) > 0
+    if opts.mode == "ecmp" and not positive:
+        raise ValueError("ECMP routing requires strictly positive weights")
+    if resolve_backend(opts.backend) == "numpy" and graph.num_edges > 0:
+        if positive:
+            return True
+        if opts.backend == "numpy":
+            raise ValueError(
+                "backend='numpy' routing requires strictly positive weights"
+            )
+    return False
+
+
+def _pair_groups(sources: array) -> Dict[int, List[int]]:
+    """Group pair positions by oriented source, in first-appearance order."""
+    groups: Dict[int, List[int]] = {}
+    for position, source in enumerate(sources):
+        groups.setdefault(source, []).append(position)
+    return groups
+
+
+#: Per-source routing outcome: ``(routed_volume, routed_pairs, unrouted)``.
+SourceStats = Tuple[float, int, List[Tuple[str, str, float]]]
+
+
+def _route_flat(
+    demand: CompiledDemand, weights: Any, mode: str, use_numpy: bool
 ) -> FlowResult:
-    """The canonical per-source loop: heapq Dijkstra + predecessor scatter."""
+    """Flat routing: every source scatters into one shared load column."""
     graph = demand.graph
-    edge_loads = array("d", [0.0]) * graph.num_edges
-    unrouted = list(demand.unmatched)
-    routed_volume = 0.0
-    routed_pairs = 0
-    volumes = demand.volumes
-    targets = demand.targets
-    labels = demand.labels
-    n = graph.num_nodes
-    for source, positions in demand.pair_positions_by_source():
-        dist, pred, pred_edge = dijkstra_indices(graph, source, weights)
-        KERNEL_COUNTERS.traffic_batched_sources += 1
-        node_flow = array("d", [0.0]) * n
-        group_volume = 0.0
-        group_pairs = 0
-        for position in positions:
-            target = targets[position]
-            volume = volumes[position]
-            if dist[target] == inf:
-                unrouted.append((*labels[position], volume))
-                continue
-            node_flow[target] += volume
-            group_volume += volume
-            group_pairs += 1
-        KERNEL_COUNTERS.traffic_assigned_pairs += group_pairs
-        routed_pairs += group_pairs
-        routed_volume += group_volume
-        if group_volume == 0.0:
-            continue
-        if mode == "single":
-            _scatter_tree(graph, source, pred, pred_edge, node_flow, edge_loads)
-        else:
-            _scatter_ecmp(graph, source, dist, weights, node_flow, edge_loads)
+    edge_loads = _zero_column(graph.num_edges, use_numpy)
+    groups = _pair_groups(demand.sources)
+    stats = _route_sources(
+        graph,
+        weights,
+        mode,
+        use_numpy,
+        groups,
+        demand.targets,
+        demand.volumes,
+        demand.labels,
+        list(groups),
+        lambda source: edge_loads,
+    )
+    routed_volume, routed_pairs, unrouted = _tally(stats.values(), demand.unmatched)
     return FlowResult(
         graph=graph,
         edge_loads=edge_loads,
@@ -522,6 +542,107 @@ def _route_demand_python(
         unrouted=unrouted,
         mode=mode,
     )
+
+
+def _zero_column(num_edges: int, use_numpy: bool) -> Any:
+    """An all-zero edge column in the backend's type."""
+    if use_numpy:
+        return _np.zeros(num_edges, dtype=_np.float64)
+    return array("d", [0.0]) * num_edges
+
+
+def _tally(
+    stats: Iterable[SourceStats], unmatched: List[Tuple[str, str, float]]
+) -> SourceStats:
+    """Sum per-source outcomes in the given order; unmatched pairs lead."""
+    routed_volume = 0.0
+    routed_pairs = 0
+    unrouted = list(unmatched)
+    for volume, pairs, source_unrouted in stats:
+        routed_volume += volume
+        routed_pairs += pairs
+        unrouted.extend(source_unrouted)
+    return routed_volume, routed_pairs, unrouted
+
+
+def _route_sources(
+    graph: CompiledGraph,
+    weights: Any,
+    mode: str,
+    use_numpy: bool,
+    groups: Dict[int, List[int]],
+    targets: array,
+    volumes: array,
+    labels: List[Tuple[str, str]],
+    sources: List[int],
+    column_for: Callable[[int], Any],
+) -> Dict[int, SourceStats]:
+    """The per-source routing kernel: one search and one scatter per source.
+
+    Flat routing passes one shared load column as ``column_for``; the
+    temporal engine passes a fresh column it retains per source.  Only pairs
+    with positive volume route; a source with none is not searched and
+    reports ``(0.0, 0, [])``.  Per searched source, positive-volume pairs add
+    their volume at their target in pair order, unreachable ones land in the
+    source's ``unrouted`` list, and if any volume routed it scatters into
+    ``column_for(source)``.  The Python backend searches with the heapq
+    Dijkstra in the given order; the numpy backend searches in sorted order,
+    many sources per chunked ``csgraph`` call.  Every scatter kernel adds to
+    each edge at most once per source, which is what makes fresh columns
+    summed in a fixed order bit-identical to one shared column.
+
+    Returns ``{source: (routed_volume, routed_pairs, unrouted)}``: unsearched
+    sources first, then searched ones in search order.
+    """
+    stats: Dict[int, SourceStats] = {}
+    searched = []
+    for source in sources:
+        if any(volumes[p] > 0.0 for p in groups[source]):
+            searched.append(source)
+        else:
+            stats[source] = (0.0, 0, [])
+    if use_numpy:
+        _route_sources_numpy(
+            graph,
+            weights,
+            mode,
+            groups,
+            targets,
+            volumes,
+            labels,
+            searched,
+            column_for,
+            stats,
+        )
+        return stats
+    n = graph.num_nodes
+    for source in searched:
+        dist, pred, pred_edge = dijkstra_indices(graph, source, weights)
+        KERNEL_COUNTERS.traffic_batched_sources += 1
+        node_flow = array("d", [0.0]) * n
+        routed_volume = 0.0
+        routed_pairs = 0
+        unrouted: List[Tuple[str, str, float]] = []
+        for p in groups[source]:
+            volume = volumes[p]
+            if volume <= 0.0:
+                continue
+            target = targets[p]
+            if dist[target] == inf:
+                unrouted.append((*labels[p], volume))
+                continue
+            node_flow[target] += volume
+            routed_volume += volume
+            routed_pairs += 1
+        KERNEL_COUNTERS.traffic_assigned_pairs += routed_pairs
+        if routed_volume > 0.0:
+            column = column_for(source)
+            if mode == "single":
+                _scatter_tree(graph, source, pred, pred_edge, node_flow, column)
+            else:
+                _scatter_ecmp(graph, source, dist, weights, node_flow, column)
+        stats[source] = (routed_volume, routed_pairs, unrouted)
+    return stats
 
 
 def _scatter_tree(
@@ -607,33 +728,36 @@ def _scatter_ecmp(
             node_flow[u] += share
 
 
-def _route_demand_numpy(
-    demand: CompiledDemand, weights: Any, mode: str
-) -> FlowResult:
-    """Batched route: chunked ``csgraph.dijkstra`` + vectorized scatter.
+def _route_sources_numpy(
+    graph: CompiledGraph,
+    weights: Any,
+    mode: str,
+    groups: Dict[int, List[int]],
+    targets: array,
+    volumes: array,
+    labels: List[Tuple[str, str]],
+    sources: List[int],
+    column_for: Callable[[int], Any],
+    stats: Dict[int, SourceStats],
+) -> None:
+    """Numpy leg of :func:`_route_sources`: batched searches, array scatter.
 
-    Sources are deduplicated and searched in sorted order, many per scipy
-    call (chunked to :data:`~repro.topology.compiled.BATCH_CHUNK_CELLS`).
-    Counter accounting matches the Python path: one
-    ``traffic_batched_sources`` per unique source, every routed pair as
-    ``traffic_assigned_pairs``; the batch dispatches additionally land in
-    ``batch_dijkstra_calls``/``batch_sources_total``.
+    Sources are searched in sorted order, many per scipy call (chunked to
+    :data:`~repro.topology.compiled.BATCH_CHUNK_CELLS`), and each source's
+    pairs are gathered as arrays.  Counter accounting matches the Python
+    leg: one ``traffic_batched_sources`` per searched source, every routed
+    pair as ``traffic_assigned_pairs``; the batch dispatches additionally
+    land in ``batch_dijkstra_calls``/``batch_sources_total``.
     """
-    graph = demand.graph
     n = graph.num_nodes
-    sources = _np.asarray(demand.sources, dtype=_np.int64)
-    targets = _np.asarray(demand.targets, dtype=_np.int64)
-    volumes = _np.asarray(demand.volumes, dtype=_np.float64)
-    edge_loads = _np.zeros(graph.num_edges, dtype=_np.float64)
-    unrouted = list(demand.unmatched)
-    routed_volume = 0.0
-    routed_pairs = 0
-    unique_sources, group_of_pair = _np.unique(sources, return_inverse=True)
+    target_column = _np.asarray(targets, dtype=_np.int64)
+    volume_column = _np.asarray(volumes, dtype=_np.float64)
     matrix = graph.scipy_csr(weights)
     need_pred = mode == "single"
     chunk = max(1, BATCH_CHUNK_CELLS // max(1, n))
-    for start in range(0, len(unique_sources), chunk):
-        batch = unique_sources[start : start + chunk]
+    order = sorted(sources)
+    for start in range(0, len(order), chunk):
+        batch = order[start : start + chunk]
         KERNEL_COUNTERS.batch_dijkstra_calls += 1
         KERNEL_COUNTERS.batch_sources_total += len(batch)
         KERNEL_COUNTERS.traffic_batched_sources += len(batch)
@@ -649,41 +773,33 @@ def _route_demand_numpy(
             dist_rows = dist_rows[_np.newaxis, :]
             if pred_rows is not None:
                 pred_rows = pred_rows[_np.newaxis, :]
-        for k in range(len(batch)):
-            source = int(batch[k])
+        for k, source in enumerate(batch):
             dist = dist_rows[k]
-            positions = _np.nonzero(group_of_pair == start + k)[0]
-            pair_targets = targets[positions]
-            pair_volumes = volumes[positions]
-            reachable = _np.isfinite(dist[pair_targets])
-            if not reachable.all():
-                labels = demand.labels
-                for position in positions[~reachable].tolist():
-                    unrouted.append((*labels[position], float(volumes[position])))
+            positions = _np.asarray(groups[source], dtype=_np.int64)
+            pair_targets = target_column[positions]
+            pair_volumes = volume_column[positions]
+            positive = pair_volumes > 0.0
+            reachable = positive & _np.isfinite(dist[pair_targets])
+            unrouted = [
+                (*labels[p], volumes[p])
+                for p in positions[positive & ~reachable].tolist()
+            ]
             node_flow = _np.zeros(n, dtype=_np.float64)
-            _np.add.at(
-                node_flow, pair_targets[reachable], pair_volumes[reachable]
-            )
-            group_pairs = int(reachable.sum())
-            KERNEL_COUNTERS.traffic_assigned_pairs += group_pairs
-            routed_pairs += group_pairs
-            routed_volume += float(pair_volumes[reachable].sum())
-            if not node_flow.any():
-                continue
-            if mode == "single":
-                _scatter_tree_numpy(
-                    graph, source, dist, pred_rows[k], node_flow, edge_loads
-                )
-            else:
-                _scatter_ecmp_numpy(graph, source, dist, weights, node_flow, edge_loads)
-    return FlowResult(
-        graph=graph,
-        edge_loads=edge_loads,
-        routed_volume=routed_volume,
-        routed_pairs=routed_pairs,
-        unrouted=unrouted,
-        mode=mode,
-    )
+            _np.add.at(node_flow, pair_targets[reachable], pair_volumes[reachable])
+            routed_pairs = int(reachable.sum())
+            routed_volume = float(pair_volumes[reachable].sum())
+            KERNEL_COUNTERS.traffic_assigned_pairs += routed_pairs
+            if routed_volume > 0.0:
+                column = column_for(source)
+                if mode == "single":
+                    _scatter_tree_numpy(
+                        graph, source, dist, pred_rows[k], node_flow, column
+                    )
+                else:
+                    _scatter_ecmp_numpy(
+                        graph, source, dist, weights, node_flow, column
+                    )
+            stats[source] = (routed_volume, routed_pairs, unrouted)
 
 
 def _scatter_tree_numpy(

@@ -33,6 +33,17 @@ source:
   ``route_series(..., reuse=False)`` (re-resolve everything, every step) is
   bit-identical to the diff path by construction.
 
+This module keeps no search or scatter of its own.  Every re-resolution runs
+through the one per-source kernel of :mod:`repro.routing.engine`, whose other
+caller is flat ``route_demand``: flat routing scatters every source into one
+shared load column, while this engine hands the kernel a fresh column per
+source and retains it.  Every scatter kernel adds to each edge at most once
+per source, so summing fresh columns in a fixed source order gives the same
+bits as scattering straight into one shared column in that order.  The
+engine's own job is what surrounds the kernel: the volume diff, the fresh
+summation, and (for cascades) picking the sources a trip invalidated and
+remapping retained columns into the degraded edge space.
+
 Per-source columns are deterministic functions of (source, step volumes), so
 backend parity is inherited from the engine scatter kernels: loads are
 bit-identical across backends on tie-free weights with integral volumes, and
@@ -72,36 +83,31 @@ from __future__ import annotations
 import hashlib
 from array import array
 from dataclasses import dataclass, field
-from math import inf, pi, sin
+from math import pi, sin
 from random import Random
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..geography.demand import DemandMatrix
-from ..topology.compiled import (
-    BATCH_CHUNK_CELLS,
-    CompiledGraph,
-    KERNEL_COUNTERS,
-    _column_min,
-    dijkstra_indices,
-    have_numpy_backend,
-    resolve_backend,
-)
+from ..topology.compiled import CompiledGraph, KERNEL_COUNTERS, have_numpy_backend
 from ..topology.graph import Topology, TopologyError
 from .engine import (
-    CompiledDemand,
-    compile_demand,
-    _scatter_ecmp,
-    _scatter_tree,
+    FlowResult,
+    SourceStats,
+    _orient_pairs,
+    _pair_groups,
+    _resolve_demand,
+    _route_sources,
+    _select_backend,
+    _tally,
+    _zero_column,
 )
 from .options import RoutingOptions
 from .paths import resolve_weight
 
 if have_numpy_backend():
     import numpy as _np
-    from scipy.sparse.csgraph import dijkstra as _scipy_dijkstra
 else:  # pragma: no cover - exercised by the no-scipy CI leg
     _np = None
-    _scipy_dijkstra = None
 
 __all__ = [
     "CascadeResult",
@@ -320,25 +326,16 @@ def compile_series(
                     index_of.get(endpoint_map.get(a, a)),
                     index_of.get(endpoint_map.get(b, b)),
                 )
-    matched: List[Tuple[int, int, Tuple[str, str]]] = []
+    pairs: List[Tuple[int, int]] = []
+    labels: List[Tuple[str, str]] = []
     unmatched_labels: List[Tuple[str, str]] = []
-    frequency: Dict[int, int] = {}
     for label, (source, target) in union.items():
         if source is None or target is None:
             unmatched_labels.append(label)
             continue
-        matched.append((source, target, label))
-        frequency[source] = frequency.get(source, 0) + 1
-        frequency[target] = frequency.get(target, 0) + 1
-    sources = array("q")
-    targets = array("q")
-    labels: List[Tuple[str, str]] = []
-    for source, target, label in matched:
-        if frequency[target] > frequency[source]:
-            source, target = target, source
-        sources.append(source)
-        targets.append(target)
+        pairs.append((source, target))
         labels.append(label)
+    sources, targets = _orient_pairs(pairs)
     step_volumes = [
         array("d", (matrix.demand(a, b) for a, b in labels))
         for matrix in series.steps
@@ -365,38 +362,25 @@ def compile_series(
 # Results
 # ----------------------------------------------------------------------
 @dataclass
-class TemporalStepResult:
+class TemporalStepResult(FlowResult):
     """Edge-indexed routing result of one time step (or cascade round).
 
-    Mirrors :class:`~repro.routing.engine.FlowResult` — including the
-    :meth:`loads_for` consumer contract, so a step result feeds
-    ``utilization_report`` / ``load_concentration`` / ``provision_topology``
-    directly — plus the diff accounting of the temporal engine.
+    A :class:`~repro.routing.engine.FlowResult` — including the
+    :meth:`~repro.routing.engine.FlowResult.loads_for` consumer contract, so
+    a step result feeds ``utilization_report`` / ``load_concentration`` /
+    ``provision_topology`` directly — plus the diff accounting of the
+    temporal engine.  ``unrouted`` includes shed demand, and
+    ``routed_pairs`` counts pairs with positive volume at this step.
 
     Attributes:
-        graph: The compiled snapshot the loads are aligned with.
         step: Time-step (or cascade-round) index.
-        edge_loads: Load per undirected edge index.
-        routed_volume: Volume that found a path at this step.
-        routed_pairs: Pairs (with positive volume) that found a path.
-        unrouted: ``(a, b, volume)`` for unmatched or disconnected pairs.
         resolved_sources: Sources re-resolved at this step (the diff size).
-        mode: ``"single"`` or ``"ecmp"``.
     """
 
-    graph: CompiledGraph
     step: int
-    edge_loads: Any
-    routed_volume: float
-    routed_pairs: int
-    unrouted: List[Tuple[str, str, float]]
     resolved_sources: int
-    mode: str
 
-    @property
-    def unrouted_volume(self) -> float:
-        """Total volume that could not be routed (shed demand included)."""
-        return sum(volume for _, _, volume in self.unrouted)
+    _stale_name = "step result"
 
     @property
     def served_fraction(self) -> float:
@@ -405,27 +389,6 @@ class TemporalStepResult:
         if offered <= 0:
             return 1.0
         return self.routed_volume / offered
-
-    def loads_list(self) -> List[float]:
-        """The edge load column as a plain Python float list."""
-        return self.edge_loads.tolist()
-
-    def link_loads(self) -> Dict[Tuple[Any, Any], float]:
-        """Boundary conversion: loaded edges as a canonical-key dictionary."""
-        edge_keys = self.graph.edge_keys
-        return {
-            edge_keys[e]: load
-            for e, load in enumerate(self.loads_list())
-            if load != 0.0
-        }
-
-    def max_load(self) -> float:
-        """Largest per-edge load (0.0 on an edgeless graph)."""
-        if not len(self.edge_loads):
-            return 0.0
-        if _np is not None and isinstance(self.edge_loads, _np.ndarray):
-            return float(self.edge_loads.max())
-        return max(self.edge_loads)
 
     def load_hash(self) -> str:
         """SHA-256 of the load column bytes — the determinism fingerprint.
@@ -453,23 +416,6 @@ class TemporalStepResult:
             for e, capacity in enumerate(capacities)
             if capacity is not None and loads[e] > capacity + TRIP_TOLERANCE
         ]
-
-    def loads_for(self, topology: Topology) -> Any:
-        """The load column, validated against ``topology``'s current snapshot.
-
-        Same contract as :meth:`repro.routing.engine.FlowResult.loads_for`:
-        a stale snapshot raises :class:`~repro.topology.graph.TopologyError`
-        instead of silently repricing against a reindexed graph.
-        """
-        graph = topology.compiled()
-        if graph is not self.graph:
-            raise TopologyError(
-                f"stale step result: routed against snapshot version "
-                f"{self.graph.version}, but topology {topology.name!r} now "
-                f"compiles to version {graph.version} — re-route the series "
-                f"instead of repricing a stale load column"
-            )
-        return self.edge_loads
 
 
 @dataclass
@@ -663,7 +609,7 @@ def _route_series_compiled(
     use_numpy = _select_backend(graph, weights, opts)
     groups = _pair_groups(compiled.sources)
     columns: Dict[int, Any] = {}
-    stats: Dict[int, Tuple[float, int, List[Tuple[str, str, float]]]] = {}
+    stats: Dict[int, SourceStats] = {}
     steps: List[TemporalStepResult] = []
     previous: Optional[array] = None
     sources = compiled.sources
@@ -679,7 +625,7 @@ def _route_series_compiled(
             changed = [source for source in groups if source in moved]
         KERNEL_COUNTERS.temporal_steps += 1
         KERNEL_COUNTERS.temporal_resolved_sources += len(changed)
-        _resolve_sources(
+        _resolve(
             graph,
             weights,
             opts.mode,
@@ -711,37 +657,7 @@ def _route_series_compiled(
     return TemporalFlowResult(graph=graph, mode=opts.mode, steps=steps)
 
 
-def _select_backend(
-    graph: CompiledGraph, weights: Any, opts: RoutingOptions
-) -> bool:
-    """Shared backend dispatch: True for the numpy path, False for Python.
-
-    Same rules as the flat engine: ECMP and the numpy path require strictly
-    positive weights; ``backend="auto"`` falls back to Python on nonpositive
-    columns while an explicit ``backend="numpy"`` raises.
-    """
-    positive = graph.num_edges == 0 or _column_min(weights) > 0
-    if opts.mode == "ecmp" and not positive:
-        raise ValueError("ECMP routing requires strictly positive weights")
-    if resolve_backend(opts.backend) == "numpy" and graph.num_edges > 0:
-        if positive:
-            return True
-        if opts.backend == "numpy":
-            raise ValueError(
-                "backend='numpy' routing requires strictly positive weights"
-            )
-    return False
-
-
-def _pair_groups(sources: array) -> Dict[int, List[int]]:
-    """Group union-pair positions by oriented source, first-appearance order."""
-    groups: Dict[int, List[int]] = {}
-    for position, source in enumerate(sources):
-        groups.setdefault(source, []).append(position)
-    return groups
-
-
-def _resolve_sources(
+def _resolve(
     graph: CompiledGraph,
     weights: Any,
     mode: str,
@@ -750,141 +666,39 @@ def _resolve_sources(
     targets: array,
     volumes: array,
     labels: List[Tuple[str, str]],
-    changed: List[int],
+    sources: List[int],
     columns: Dict[int, Any],
-    stats: Dict[int, Tuple[float, int, List[Tuple[str, str, float]]]],
+    stats: Dict[int, SourceStats],
 ) -> None:
-    """Re-route every source in ``changed``; update its retained column.
+    """Re-route ``sources`` through the engine kernel into fresh columns.
 
-    A source's column is ``None`` when it carries no flow (all volumes zero,
-    or every positive-volume target unreachable) — the combine step treats
-    ``None`` as an all-zero column without paying the addition.
+    Each source that routes any volume scatters into a new column that
+    ``columns`` retains; a source's column is ``None`` when it carries no
+    flow (all volumes zero, or every positive-volume target unreachable) —
+    the combine step treats ``None`` as an all-zero column without paying
+    the addition.
     """
-    if use_numpy:
-        _resolve_sources_numpy(
-            graph, weights, mode, groups, targets, volumes, labels, changed,
-            columns, stats,
+
+    def fresh_column(source: int) -> Any:
+        columns[source] = _zero_column(graph.num_edges, use_numpy)
+        return columns[source]
+
+    for source in sources:
+        columns[source] = None
+    stats.update(
+        _route_sources(
+            graph,
+            weights,
+            mode,
+            use_numpy,
+            groups,
+            targets,
+            volumes,
+            labels,
+            sources,
+            fresh_column,
         )
-        return
-    n = graph.num_nodes
-    for source in changed:
-        positions = groups[source]
-        active = [p for p in positions if volumes[p] > 0.0]
-        if not active:
-            columns[source] = None
-            stats[source] = (0.0, 0, [])
-            continue
-        dist, pred, pred_edge = dijkstra_indices(graph, source, weights)
-        KERNEL_COUNTERS.traffic_batched_sources += 1
-        node_flow = array("d", [0.0]) * n
-        group_volume = 0.0
-        group_pairs = 0
-        unrouted: List[Tuple[str, str, float]] = []
-        for p in active:
-            target = targets[p]
-            volume = volumes[p]
-            if dist[target] == inf:
-                unrouted.append((*labels[p], volume))
-                continue
-            node_flow[target] += volume
-            group_volume += volume
-            group_pairs += 1
-        KERNEL_COUNTERS.traffic_assigned_pairs += group_pairs
-        if group_volume > 0.0:
-            column = array("d", [0.0]) * graph.num_edges
-            if mode == "single":
-                _scatter_tree(graph, source, pred, pred_edge, node_flow, column)
-            else:
-                _scatter_ecmp(graph, source, dist, weights, node_flow, column)
-            columns[source] = column
-        else:
-            columns[source] = None
-        stats[source] = (group_volume, group_pairs, unrouted)
-
-
-def _resolve_sources_numpy(
-    graph: CompiledGraph,
-    weights: Any,
-    mode: str,
-    groups: Dict[int, List[int]],
-    targets: array,
-    volumes: array,
-    labels: List[Tuple[str, str]],
-    changed: List[int],
-    columns: Dict[int, Any],
-    stats: Dict[int, Tuple[float, int, List[Tuple[str, str, float]]]],
-) -> None:
-    """Numpy variant: batched ``csgraph`` searches, per-source scatter.
-
-    Searches batch many sources per scipy call (the E12 chunking rule);
-    scatter stays per-source because the diff engine retains per-source
-    columns.  Counter accounting matches the flat engine's numpy path.
-    """
-    from .engine import _scatter_ecmp_numpy, _scatter_tree_numpy
-
-    need = []
-    for source in changed:
-        if any(volumes[p] > 0.0 for p in groups[source]):
-            need.append(source)
-        else:
-            columns[source] = None
-            stats[source] = (0.0, 0, [])
-    if not need:
-        return
-    n = graph.num_nodes
-    matrix = graph.scipy_csr(weights)
-    need_pred = mode == "single"
-    chunk = max(1, BATCH_CHUNK_CELLS // max(1, n))
-    order = sorted(need)
-    for start in range(0, len(order), chunk):
-        batch = order[start : start + chunk]
-        KERNEL_COUNTERS.batch_dijkstra_calls += 1
-        KERNEL_COUNTERS.batch_sources_total += len(batch)
-        KERNEL_COUNTERS.traffic_batched_sources += len(batch)
-        KERNEL_COUNTERS.single_source += len(batch)  # backend-independent count
-        if need_pred:
-            dist_rows, pred_rows = _scipy_dijkstra(
-                matrix, directed=False, indices=batch, return_predecessors=True
-            )
-        else:
-            dist_rows = _scipy_dijkstra(matrix, directed=False, indices=batch)
-            pred_rows = None
-        if dist_rows.ndim == 1:
-            dist_rows = dist_rows[_np.newaxis, :]
-            if pred_rows is not None:
-                pred_rows = pred_rows[_np.newaxis, :]
-        for k, source in enumerate(batch):
-            dist = dist_rows[k]
-            node_flow = _np.zeros(n, dtype=_np.float64)
-            group_volume = 0.0
-            group_pairs = 0
-            unrouted: List[Tuple[str, str, float]] = []
-            for p in groups[source]:
-                volume = volumes[p]
-                if volume <= 0.0:
-                    continue
-                target = targets[p]
-                if not _np.isfinite(dist[target]):
-                    unrouted.append((*labels[p], volume))
-                    continue
-                node_flow[target] += volume
-                group_volume += volume
-                group_pairs += 1
-            KERNEL_COUNTERS.traffic_assigned_pairs += group_pairs
-            if group_volume > 0.0:
-                column = _np.zeros(graph.num_edges, dtype=_np.float64)
-                if mode == "single":
-                    _scatter_tree_numpy(
-                        graph, source, dist, pred_rows[k], node_flow, column
-                    )
-                else:
-                    _scatter_ecmp_numpy(
-                        graph, source, dist, weights, node_flow, column
-                    )
-                columns[source] = column
-            else:
-                columns[source] = None
-            stats[source] = (group_volume, group_pairs, unrouted)
+    )
 
 
 def _combine(
@@ -892,7 +706,7 @@ def _combine(
     use_numpy: bool,
     groups: Dict[int, List[int]],
     columns: Dict[int, Any],
-    stats: Dict[int, Tuple[float, int, List[Tuple[str, str, float]]]],
+    stats: Dict[int, SourceStats],
     unmatched: List[Tuple[str, str, float]],
 ) -> Tuple[Any, float, int, List[Tuple[str, str, float]]]:
     """Sum retained per-source columns into one fresh total, in group order.
@@ -904,18 +718,11 @@ def _combine(
     so backend parity reduces to per-source column parity.
     """
     num_edges = graph.num_edges
-    if use_numpy:
-        total = _np.zeros(num_edges, dtype=_np.float64)
-    else:
-        total = array("d", [0.0]) * num_edges
-    routed_volume = 0.0
-    routed_pairs = 0
-    unrouted = list(unmatched)
+    total = _zero_column(num_edges, use_numpy)
+    routed_volume, routed_pairs, unrouted = _tally(
+        (stats[source] for source in groups), unmatched
+    )
     for source in groups:
-        group_volume, group_pairs, group_unrouted = stats[source]
-        routed_volume += group_volume
-        routed_pairs += group_pairs
-        unrouted.extend(group_unrouted)
         column = columns[source]
         if column is None:
             continue
@@ -993,27 +800,7 @@ def failure_cascade(
             f"failure_cascade expects a Topology first, "
             f"got {type(topology).__name__}"
         )
-    if isinstance(demand, CompiledDemand):
-        if endpoint_map is not None:
-            raise TypeError(
-                "endpoint_map only applies when failure_cascade compiles a "
-                "DemandMatrix; this demand is already compiled"
-            )
-        if demand.graph is not topology.compiled():
-            raise TopologyError(
-                f"stale CompiledDemand: compiled against snapshot version "
-                f"{demand.graph.version}, but topology {topology.name!r} now "
-                f"compiles to version {topology.compiled().version} — "
-                f"recompile with compile_demand()"
-            )
-        compiled = demand
-    elif hasattr(demand, "pairs"):
-        compiled = compile_demand(topology, demand, endpoint_map)
-    else:
-        raise TypeError(
-            f"failure_cascade(topology, demand) needs a DemandMatrix or "
-            f"CompiledDemand, got {type(demand).__name__}"
-        )
+    compiled = _resolve_demand(topology, demand, endpoint_map)
 
     # Rewind data: the link dict order now, each node's adjacency order
     # before its first removal, and the removed Link objects themselves.
@@ -1023,7 +810,7 @@ def failure_cascade(
     graph = compiled.graph
     groups = _pair_groups(compiled.sources)
     columns: Dict[int, Any] = {}
-    stats: Dict[int, Tuple[float, int, List[Tuple[str, str, float]]]] = {}
+    stats: Dict[int, SourceStats] = {}
     unmatched = [
         (a, b, volume)
         for a, b, volume in compiled.unmatched
@@ -1040,7 +827,7 @@ def failure_cascade(
             use_numpy = _select_backend(graph, weights, opts)
             KERNEL_COUNTERS.temporal_steps += 1
             KERNEL_COUNTERS.temporal_resolved_sources += len(to_resolve)
-            _resolve_sources(
+            _resolve(
                 graph,
                 weights,
                 opts.mode,

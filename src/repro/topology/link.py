@@ -7,6 +7,7 @@ length, and cost components.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
@@ -37,6 +38,11 @@ class Link:
         usage_cost: Marginal cost per unit of carried traffic.
         load: Traffic currently routed over the link.
         attributes: Free-form extra annotations.
+
+    Every numeric field must be finite: construction (and hence
+    :meth:`from_dict` / ``load_json``) raises a ``ValueError`` naming the
+    field for NaN or infinity, so a bad value cannot route as a hop weight
+    while cost accounting carries it forward.
     """
 
     source: Any
@@ -52,6 +58,11 @@ class Link:
     def __post_init__(self) -> None:
         if self.source == self.target:
             raise ValueError(f"self-loops are not allowed (node {self.source!r})")
+        for name in ("length", "capacity", "install_cost", "usage_cost", "load"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                hint = " (None means unbounded)" if name == "capacity" else ""
+                raise ValueError(f"link {name} must be finite, got {value!r}{hint}")
         if self.capacity is not None and self.capacity <= 0:
             raise ValueError(f"link capacity must be positive, got {self.capacity}")
         if self.length < 0:

@@ -1,13 +1,14 @@
 """Tests for repro.routing.temporal — series routing, diffs, and cascades."""
 
 import random
+from array import array
 
 import pytest
 
 from repro.economics.cables import default_catalog
 from repro.economics.provisioning import provision_topology
 from repro.geography.demand import DemandMatrix
-from repro.routing.engine import route_demand
+from repro.routing.engine import compile_demand, route_demand
 from repro.routing.options import RoutingOptions
 from repro.routing.temporal import (
     DemandSeries,
@@ -238,6 +239,36 @@ class TestFailureCascade:
         assert cascade.num_rounds == PINNED_CASCADE_ROUNDS
         assert cascade.total_trips == PINNED_CASCADE_TRIPS
         assert cascade.step_hashes()[-1] == PINNED_CASCADE_HASH
+
+    @pytest.mark.parametrize("mode", ["single", "ecmp"])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_round_zero_equals_flat_routing(self, backend, mode):
+        """Round 0 routes the intact topology through the same per-source
+        kernel as flat route_demand, so on a tie-free integral instance its
+        load column is the flat one bit for bit."""
+        if backend == "numpy" and not have_numpy_backend():
+            pytest.skip("scipy not available")
+        topo, surge, emap = self.cascade_instance()
+        # One pair to an isolated node, so both sides report unrouted demand.
+        topo.add_node("island", location=(2.0, 2.0))
+        demand = DemandMatrix(endpoints=list(surge.endpoints) + ["island"])
+        for a, b, volume in surge.pairs():
+            demand.set_demand(a, b, volume)
+        demand.set_demand("0", "island", 5.0)
+        emap["island"] = "island"
+        compiled = compile_demand(topo, demand, emap)
+        flat = route_demand(compiled, mode=mode, backend=backend)
+        cascade = failure_cascade(topo, compiled, mode=mode, backend=backend)
+        assert cascade.total_trips > 0
+        first = cascade.rounds[0].flow
+        assert first.graph is flat.graph
+        assert (
+            array("d", first.edge_loads).tobytes()
+            == array("d", flat.edge_loads).tobytes()
+        )
+        assert first.routed_volume == flat.routed_volume
+        assert first.routed_pairs == flat.routed_pairs == compiled.num_pairs - 1
+        assert len(first.unrouted) == len(flat.unrouted) == 1
 
     def test_repeat_and_restore_determinism(self):
         topo, surge, emap = self.cascade_instance()

@@ -47,6 +47,14 @@ class TestLink:
         with pytest.raises(ValueError):
             Link(source="a", target="b", load=-2.0)
 
+    @pytest.mark.parametrize(
+        "field", ["length", "capacity", "install_cost", "usage_cost", "load"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"link {field} must be finite"):
+            Link(source="a", target="b", **{field: value})
+
     def test_key_matches_edge_key(self):
         link = Link(source="z", target="a")
         assert link.key == edge_key("z", "a")

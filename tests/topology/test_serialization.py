@@ -1,5 +1,7 @@
 """Tests for repro.topology.serialization."""
 
+import json
+
 import pytest
 
 from repro.topology.graph import Topology
@@ -45,6 +47,15 @@ class TestJson:
         assert restored.num_nodes == star_topology.num_nodes
         assert restored.num_links == star_topology.num_links
         assert restored.node("hub").role == NodeRole.CORE
+
+    def test_nan_link_length_rejected_on_load(self, tmp_path, triangle_topology):
+        data = topology_to_dict(triangle_topology)
+        data["links"][0]["length"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))  # json writes the bare token NaN
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match="link length must be finite"):
+            load_json(path)
 
 
 class TestEdgeList:
