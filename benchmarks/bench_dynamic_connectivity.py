@@ -1,14 +1,16 @@
 """Dynamic-connectivity move engine vs a per-move component sweep.
 
-The HDT structure (``repro.topology.dynconn``) claims O(log² n) per edge
-deletion, where the simplest adequate alternative recomputes reachability
+The label structure (``repro.topology.dynconn``) pays per edge deletion only
+for the vertices its two interleaved split searches visit — O(smaller side)
+when the component splits, O(vertices searched until the searches meet)
+otherwise — where the simplest adequate alternative recomputes reachability
 with one O(V+E) component sweep after every structural change.  One
 pre-generated deletion-heavy move trace (n=2000 full, n=400 smoke; ≥50%
 ``RemoveLink``/``Rewire``, integral demands, ``CostObjective``) is replayed
 two ways:
 
 * through :class:`~repro.optimization.incremental.IncrementalState`, which
-  keeps served demand on the dynamic-connectivity forest;
+  keeps served demand on the dynamic-connectivity component labels;
 * on a plain :class:`~repro.topology.graph.Topology`, recomputing served
   demand with one ``components_indices`` sweep after every move and every
   revert (the reference).

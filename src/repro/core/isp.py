@@ -369,7 +369,7 @@ class ISPGenerator:
         :class:`~repro.optimization.incremental.IncrementalState` under the
         ISP's own objective (the cost delta is O(Δ); the removal half of a
         rewire is an incremental deletion on the engine's dynamic-connectivity
-        structure — polylog, no reachability sweep), and only
+        structure — no whole-graph reachability sweep), and only
         cost-improving rewires are kept (first-improvement hill climbing).
         The refinement summary lands in ``topology.metadata["refinement"]``.
         """

@@ -386,9 +386,11 @@ def expand(smoke: bool) -> List[Task]:
             "objective": objective,
             "iterations": parameters["anneal_iterations"],
             # Reachability engine generation: "dynconn" keys the task digests
-            # to the dynamic-connectivity engine so caches from the
+            # to the dynamic-connectivity module so caches from the
             # sweep-per-deletion era miss cleanly (the payload gained the
-            # reachability_rebuilds field the gates below assert on).
+            # reachability_rebuilds field the gates below assert on).  The
+            # value stays put across engine rewrites inside that module:
+            # they leave every payload byte-identical.
             "engine": "dynconn",
         }
         for size in parameters["sizes"]
@@ -428,7 +430,7 @@ def check(tables: Tables, smoke: bool) -> None:
         # (the initial rebuild) and thousands of delta evaluations.
         assert row["incremental_full_evals"] <= 2, row
         assert row["delta_evals"] >= 50 * max(1, row["incremental_full_evals"]), row
-        # O(polylog) deletion claim: the move mix is deletion-bearing
+        # Incremental deletion claim: the move mix is deletion-bearing
         # (RemoveLink tear-outs), yet the move engine never runs a full
         # reachability sweep.
         assert row["reachability_rebuilds"] == 0, row

@@ -10,11 +10,22 @@ uniform model used as an ablation baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .points import euclidean
 from .population import City
+
+
+def _check_volume(a: str, b: str, volume: float) -> None:
+    """Reject a NaN, infinite or negative demand volume for the pair (a, b)."""
+    # NaN fails both comparisons and +inf the second, so one chain covers all.
+    if not 0.0 <= volume < math.inf:
+        raise ValueError(
+            f"demand volume for pair ({a!r}, {b!r}) must be finite and non-negative, "
+            f"got {volume}"
+        )
 
 
 @dataclass
@@ -66,9 +77,9 @@ class DemandMatrix:
         for i, j, volume in zip(sources, targets, volumes):
             if i == j:
                 raise ValueError("self-demand is not allowed")
-            if volume < 0:
-                raise ValueError(f"demand must be non-negative, got {volume}")
-            demands[key(names[i], names[j])] = volume
+            a, b = names[i], names[j]
+            _check_volume(a, b, volume)
+            demands[key(a, b)] = volume
         return matrix
 
     def compile(self, topology: Any, endpoint_map: Optional[Dict[str, Any]] = None):
@@ -88,8 +99,7 @@ class DemandMatrix:
             raise ValueError("self-demand is not allowed")
         if a not in self._index or b not in self._index:
             raise KeyError(f"unknown endpoint in pair ({a!r}, {b!r})")
-        if volume < 0:
-            raise ValueError(f"demand must be non-negative, got {volume}")
+        _check_volume(a, b, volume)
         self._demands[self._key(a, b)] = volume
 
     def demand(self, a: str, b: str) -> float:

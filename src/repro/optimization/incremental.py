@@ -18,14 +18,14 @@ move:
   same single source of truth the canonical ``evaluate`` uses, plus node
   equipment costs);
 * the served-customer aggregates (served demand and served revenue) via the
-  **fully-dynamic connectivity engine** of :mod:`repro.topology.dynconn` — a
-  Holm–de Lichtenberg–Thorup level-structured spanning forest over Euler-tour
-  trees whose per-component aggregates record whether the component contains
-  a core and how much customer demand/revenue it holds.  Link and node
-  additions are amortized O(log n) tree links, deletions are O(log n) for
-  non-tree edges and a bounded replacement-edge search for tree edges, and
-  every mutation returns an exact-undo token so rejected moves revert in
-  O(log n);
+  **fully-dynamic connectivity engine** of :mod:`repro.topology.dynconn` —
+  component labels whose per-component aggregates record whether the
+  component contains a core and how much customer demand/revenue it holds.
+  A link joining two components relabels the smaller; a deletion searches
+  from both endpoints in turn, costing O(smaller side) when the component
+  splits and O(vertices searched until the searches meet) otherwise; every
+  mutation returns an exact-undo token so rejected moves revert at the cost
+  of the relabel they made;
 * customer→core hop distances (for the performance-blended objective) via
   **one** multi-source search on ``Topology.compiled()`` instead of one BFS
   per core, cached per topology version.
@@ -47,8 +47,8 @@ When the engine falls back to full recomputation
   evaluation.
 
 Deletions are not on this list: ``RemoveLink`` and the removal half of a
-``Rewire`` are polylogarithmic on the dynamic-connectivity engine, undos
-included, and no move ever runs a component sweep.
+``Rewire`` run on the dynamic-connectivity engine, undos included, and no
+move ever runs a whole-graph component sweep.
 
 ``KERNEL_COUNTERS.objective_full_evals`` counts canonical evaluations (and
 rebuilds); ``KERNEL_COUNTERS.objective_delta_evals`` counts applied moves.
@@ -592,11 +592,11 @@ class IncrementalState:
             self._link_install -= old_contrib[0]
             self._link_usage -= old_contrib[1]
         record.structure_undo.append(lambda: self._restore_contrib(key, old_contrib))
-        # Polylog deletion: query the doomed edge's component before the cut,
-        # delete (non-tree: O(log n); tree: bounded replacement search), and
-        # re-aggregate only when the component actually split.  The undo
-        # token replays inverse tree ops, so a rejected deletion reverts in
-        # O(log n) — no sweep, no O(V) snapshot.
+        # Query the doomed edge's component before the cut, delete (the
+        # engine's split search: O(smaller side) on a split, otherwise until
+        # the searches meet), and re-aggregate only when the component
+        # actually split.  The undo token relabels the split-off side back,
+        # so a rejected deletion reverts without a sweep or an O(V) snapshot.
         dyn = self._dyn
         before = dyn.summary(u)
         token = dyn.delete(u, v)

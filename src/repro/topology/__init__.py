@@ -5,8 +5,9 @@ Public API:
 * :class:`Topology` — the central annotated graph type.
 * :class:`Node`, :class:`NodeRole`, :class:`Link` — node/link annotations.
 * :class:`TopologyBuilder` — fluent construction helper.
-* :class:`DynamicConnectivity` — HDT fully-dynamic connectivity with exact
-  per-component service aggregates and O(polylog) deletions.
+* :class:`DynamicConnectivity` — fully-dynamic connectivity by component
+  labels, with exact per-component service aggregates and undoable
+  insert/delete (a deletion costs O(smaller side) when it splits).
 * :func:`summarize_hierarchy` — WAN/MAN/LAN hierarchy statistics.
 * serialization helpers (``topology_to_dict``, ``save_json``, ``to_networkx``, ...).
 """

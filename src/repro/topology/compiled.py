@@ -196,8 +196,9 @@ class KernelCounters:
     diff engages instead of silently re-routing everything), and every link
     tripped by a failure cascade as ``cascade_trips``.  The dynamic
     connectivity engine (:mod:`repro.topology.dynconn`) records every
-    Euler-tour link/cut as ``dynconn_tree_ops`` and every tree-edge
-    deletion's replacement hunt as ``dynconn_replacement_searches``.
+    vertex a deletion's split search visits, plus every vertex a merge,
+    split or undo relabels, as ``dynconn_tree_ops``, and every deletion
+    (each runs a split search) as ``dynconn_replacement_searches``.
     ``reachability_rebuilds`` stays, always 0 (no engine runs a full
     component sweep), because the benchmark harness (``perfbench/run.py``)
     and the E10/E13 payloads read it.  k-median local search

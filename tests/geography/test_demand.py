@@ -41,6 +41,13 @@ class TestDemandMatrix:
         with pytest.raises(ValueError):
             matrix.set_demand("a", "b", -1.0)
 
+    @pytest.mark.parametrize("volume", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_demand_rejected(self, volume):
+        matrix = DemandMatrix(endpoints=["a", "b"])
+        with pytest.raises(ValueError, match=r"volume for pair \('a', 'b'\)"):
+            matrix.set_demand("a", "b", volume)
+        assert matrix.total() == 0.0
+
     def test_duplicate_endpoints_rejected(self):
         with pytest.raises(ValueError):
             DemandMatrix(endpoints=["a", "a"])
@@ -92,6 +99,11 @@ class TestFromArrays:
             DemandMatrix.from_arrays(["a", "b"], [0, 1], [1], [1.0])
         with pytest.raises(ValueError):
             DemandMatrix.from_arrays(["a", "a"], [0], [1], [1.0])
+
+    @pytest.mark.parametrize("volume", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_volume_rejected(self, volume):
+        with pytest.raises(ValueError, match=r"volume for pair \('b', 'c'\)"):
+            DemandMatrix.from_arrays(["a", "b", "c"], [0, 1], [1, 2], [1.0, volume])
 
 
 class TestGravityDemand:

@@ -1,4 +1,4 @@
-"""Property tests for repro.topology.dynconn (HDT dynamic connectivity).
+"""Property tests for repro.topology.dynconn (component-label connectivity).
 
 The structure is driven through randomized interleavings of insert/delete/
 undo and checked against :func:`repro.topology.compiled.components_indices`
@@ -236,7 +236,85 @@ class TestUndo:
         token = dyn.insert("a", "b")
         dyn.undo(token)
         with pytest.raises(AssertionError):
-            dyn.undo(token)  # arc pair already freed: the ETT cut detects it
+            dyn.undo(token)  # no longer live: the LIFO token check detects it
+
+    def test_undo_out_of_order_raises(self):
+        """Only the most recent live token may be undone, matched by identity."""
+        dyn = DynamicConnectivity()
+        for v in "abc":
+            dyn.add_vertex(v)
+        first = dyn.insert("a", "b")
+        second = dyn.insert("b", "c")
+        with pytest.raises(AssertionError):
+            dyn.undo(first)
+        assert dyn.component_size("a") == 3  # the failed undo changed nothing
+        dyn.undo(second)
+        dyn.undo(first)
+        again = dyn.insert("a", "b")
+        assert again == first and again is not first
+        with pytest.raises(AssertionError):
+            dyn.undo(first)  # an equal token that is no longer live
+        dyn.undo(again)
+        assert dyn.component_size("a") == 1
+
+
+class TestDeletionCost:
+    @staticmethod
+    def _two_arms(arm: int) -> DynamicConnectivity:
+        """u and v joined directly and through w, each with an ``arm``-long path.
+
+        The bypass edges go in first, so each endpoint's search steps to w
+        before its arm.
+        """
+        dyn = DynamicConnectivity()
+        edges = [("u", "w"), ("v", "w"), ("u", "v")]
+        for end in "uv":
+            path = [end] + [f"{end}{i}" for i in range(arm)]
+            edges += list(zip(path, path[1:]))
+        vertices = sorted({x for edge in edges for x in edge})
+        dyn.build(((x, x == "u", 1.0, 2.0) for x in vertices), edges)
+        return dyn
+
+    def test_cycle_edge_deletion_relabels_nothing(self):
+        arm = 20
+        dyn = self._two_arms(arm)
+        labels = dict(dyn._label)
+        sizes = {x: dyn.component_size(x) for x in labels}
+        before = KERNEL_COUNTERS.snapshot()
+        token = dyn.delete("u", "v")
+        after = KERNEL_COUNTERS.snapshot()
+        assert dyn._label == labels
+        assert {x: dyn.component_size(x) for x in labels} == sizes
+        assert after["dynconn_replacement_searches"] == before["dynconn_replacement_searches"] + 1
+        # The searches meet at w after a handful of visits; relabelling
+        # either side of the cut would add at least ``arm`` to the counter.
+        assert 0 < after["dynconn_tree_ops"] - before["dynconn_tree_ops"] < arm
+        dyn.undo(token)
+        assert dyn._label == labels
+
+    def test_bridge_deletion_splits_sums_exactly(self):
+        """Both sides of a cut bridge keep exact (not naively summed) sums."""
+        dyn = DynamicConnectivity()
+        left = {"a0": 0.1, "a1": 0.2, "a2": 0.3}
+        right = {"b0": 1e16, "b1": 1.0, "b2": 1.0}
+        for vertex, demand in {**left, **right}.items():
+            dyn.add_vertex(vertex, is_core=vertex == "a0", demand=demand, revenue=2 * demand)
+        for u, v in [("a0", "a1"), ("a1", "a2"), ("b0", "b1"), ("b1", "b2"), ("a2", "b0")]:
+            dyn.insert(u, v)
+
+        def exact(side):
+            demand = sum((Fraction(d) for d in side.values()), Fraction(0))
+            return float(demand), float(2 * demand)
+
+        whole = exact({**left, **right})
+        assert dyn.summary("b2") == ComponentSummary(6, True, *whole)
+        token = dyn.delete("a2", "b0")
+        assert dyn.summary("a1") == ComponentSummary(3, True, *exact(left))
+        assert dyn.summary("b1") == ComponentSummary(3, False, *exact(right))
+        # Naive float accumulation would have lost the two 1.0s to rounding.
+        assert dyn.summary("b1").demand == 1e16 + 2 != (1e16 + 1.0) + 1.0
+        dyn.undo(token)
+        assert dyn.summary("a0") == ComponentSummary(6, True, *whole)
 
 
 class TestVertices:
