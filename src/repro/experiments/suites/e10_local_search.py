@@ -143,9 +143,9 @@ def draw_move(topology: Topology, rng: random.Random, context: MoveContext) -> M
     """
     r = rng.random()
     if r >= 0.80:
-        # Sorted: a reverted RemoveLink re-appends its link at the end of the
-        # link dictionary, so raw iteration order is trajectory-dependent on
-        # the move-based side while the copy-based side never reverts.
+        # Sorted, not link order: a reverted RemoveLink puts its link back in
+        # its old place, but the pinned E10 draws and payloads were made
+        # against this sorted list.
         extra = sorted(k for k in topology.link_keys() if k not in context.initial_keys)
         if extra:
             u, v = extra[rng.randrange(len(extra))]

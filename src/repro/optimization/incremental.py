@@ -135,8 +135,9 @@ class RemoveLink(Move):
     """Tear out the link between ``u`` and ``v``.
 
     A missing link raises :class:`~repro.topology.graph.TopologyError`
-    before anything mutates; revert restores the compiled edge order
-    byte-identically.
+    before anything mutates.  Revert re-inserts the original ``Link``, which
+    keeps its insertion stamp, so link, adjacency and compiled edge order
+    come back byte-identical.
     """
 
     u: Any
@@ -572,20 +573,11 @@ class IncrementalState:
         topology = self.topology
         link = topology.link(u, v)  # raises before anything mutates
         u, v = link.source, link.target
-        # Pushed first so it runs *last* on unwind: once the link is back,
-        # restore the dict iteration orders so a remove → revert round trip
-        # leaves the compiled edge order byte-identical, not just
-        # structurally identical.
-        links_order = list(topology._links)
-        adjacency_order = {u: list(topology._adjacency[u]), v: list(topology._adjacency[v])}
-        record.structure_undo.append(
-            lambda: topology._restore_link_order(links_order, adjacency_order)
-        )
         topology.remove_link(u, v)
-        # Re-insert the *original* Link object on revert: earlier undo records
-        # (e.g. an UpgradeCable restore) hold references to it, so replacing
-        # it with a copy would leave them mutating a dead object.
-        record.structure_undo.append(lambda: topology.add_link_object(link))
+        # Re-insert the *original* Link object on revert: it keeps its
+        # insertion stamp, hence its place in link order, and earlier undo
+        # records (e.g. an UpgradeCable restore) hold references to it.
+        record.structure_undo.append(lambda: topology._reinsert_link(link))
         key = link.key
         old_contrib = self._link_contrib.pop(key, None)
         if old_contrib is not None:

@@ -73,9 +73,9 @@ Headroom semantics: ``headroom`` is survivability slack — the fraction of
 extra capacity a link can absorb before tripping.  ``headroom=0.0`` trips at
 the provisioned capacity; larger values resist the cascade, and the E13
 suite sweeps it to map served fraction against slack.  The topology is
-restored (``restore=True``) by re-inserting the original ``Link`` objects
-and their captured dict orders, so the cascade is an analysis, not a
-mutation.
+restored (``restore=True``) by re-inserting the original ``Link`` objects,
+which keep their insertion stamps and hence their place in link order, so
+the cascade is an analysis, not a mutation.
 """
 
 from __future__ import annotations
@@ -767,8 +767,8 @@ def failure_cascade(
     Args:
         topology: A capacity-provisioned topology.  Mutated during the
             cascade; rewound before returning unless ``restore=False``.  The
-            rewind re-inserts the original ``Link`` objects and restores the
-            link and adjacency dict orders, so the compiled edge order is
+            rewind re-inserts the original ``Link`` objects, which keep their
+            insertion stamps, so link order and the compiled edge order are
             byte-identical afterwards.  With ``restore=False`` exactly the
             tripped links stay removed.
         demand: A :class:`~repro.geography.demand.DemandMatrix` or a
@@ -802,10 +802,7 @@ def failure_cascade(
         )
     compiled = _resolve_demand(topology, demand, endpoint_map)
 
-    # Rewind data: the link dict order now, each node's adjacency order
-    # before its first removal, and the removed Link objects themselves.
-    links_order = list(topology._links)
-    adjacency_order: Dict[Any, List[Any]] = {}
+    # The removed Link objects, re-inserted with their stamps on restore.
     removed: List[Any] = []
     graph = compiled.graph
     groups = _pair_groups(compiled.sources)
@@ -869,24 +866,20 @@ def failure_cascade(
                 break
             KERNEL_COUNTERS.cascade_trips += len(tripped_edges)
             for u, v in tripped_keys:
-                for end in (u, v):
-                    if end not in adjacency_order:
-                        adjacency_order[end] = list(topology._adjacency[end])
                 removed.append(topology.link(u, v))
                 topology.remove_link(u, v)
-            # Only sources whose retained flow crossed a tripped link need a
-            # re-route; everyone else's column survives the removals (exact
-            # on tie-free instances; exact in ECMP mode because the column
-            # covers all tied paths).
+            # Only sources whose retained flow crossed a tripped link are
+            # re-routed.  Pinned in single-path mode on both backends, on
+            # unit-length grids where every path ties: each round's loads
+            # equal a from-scratch route of the degraded topology bit for bit.
             to_resolve = _affected_sources(groups, columns, tripped_edges)
             new_graph = topology.compiled()
             _remap_columns(columns, graph, new_graph, skip=set(to_resolve))
             graph = new_graph
     finally:
         if restore:
-            for link in reversed(removed):
-                topology.add_link_object(link)
-            topology._restore_link_order(links_order, adjacency_order)
+            for link in removed:
+                topology._reinsert_link(link)
     return CascadeResult(
         rounds=rounds,
         fixed_point=fixed_point,

@@ -268,10 +268,30 @@ def default_link_weight(link: Link) -> float:
     """The library-wide default link weight: physical length, falling back to
     1.0 for zero-length links so purely logical graphs get hop-count paths.
 
-    Single source of truth — the optimization and routing layers alias this.
+    A NaN, infinite or negative length (set on a link after construction)
+    raises :class:`ValueError` naming the link and ``length``.  Single source
+    of truth — the optimization and routing layers alias this.
     """
     length = link.length
-    return length if length > 0 else 1.0
+    if 0.0 < length < inf:
+        return length
+    if length == 0.0:
+        return 1.0
+    raise _weight_error(link, "length", length)
+
+
+def _weight_error(link: Link, field: str, value: float) -> ValueError:
+    return ValueError(
+        f"link {link.key}: {field} must be finite and non-negative, got {value!r}"
+    )
+
+
+def _check_weight_column(column: Any, links: List[Link], field: str) -> None:
+    """Raise :func:`_weight_error` for the first NaN, infinite or negative entry."""
+    valid = (column >= 0.0) & (column < inf)
+    if not valid.all():
+        e = int(valid.argmin())
+        raise _weight_error(links[e], field, float(column[e]))
 
 
 def _column_min(weights: Any) -> float:
@@ -443,39 +463,36 @@ class CompiledGraph:
     def edge_weights(self, weight: Optional[Callable[[Link], float]] = None) -> Any:
         """Per-edge weight column computed from the live :class:`Link` objects.
 
-        ``None`` selects the library default (physical length, falling back to
-        1.0 for zero-length links).  Raises :class:`ValueError` on a negative
-        weight, mirroring the object-graph Dijkstra.  Returns a float64 numpy
-        array when numpy is available, else ``array('d')`` — always freshly
-        computed, so annotation mutations are visible (see
-        :meth:`edge_weight_column` for the cached named columns).
+        ``None`` selects the library default (:func:`default_link_weight`).
+        Raises :class:`ValueError` naming the link key and ``length`` (default)
+        or ``weight`` (custom function) on a NaN, infinite or negative value.
+        Returns a float64 numpy array when numpy is available, else
+        ``array('d')`` — always freshly computed, so annotation mutations are
+        visible (see :meth:`edge_weight_column` for the cached named columns).
         """
         m = self.num_edges
+        links = self.links
         if _HAVE_NUMPY:
             if weight is None:
-                return _np.fromiter(
-                    (default_link_weight(link) for link in self.links),
-                    dtype=_np.float64,
-                    count=m,
+                lengths = _np.fromiter(
+                    (link.length for link in links), dtype=_np.float64, count=m
                 )
+                _check_weight_column(lengths, links, "length")
+                return _np.where(lengths > 0.0, lengths, 1.0)
             out = _np.fromiter(
-                (weight(link) for link in self.links), dtype=_np.float64, count=m
+                (weight(link) for link in links), dtype=_np.float64, count=m
             )
-            if m and float(out.min()) < 0:
-                e = int(out.argmin())
-                raise ValueError(
-                    f"negative link weight {out[e]} on {self.links[e].key}"
-                )
+            _check_weight_column(out, links, "weight")
             return out
         out = array("d", [0.0]) * m
         if weight is None:
-            for e, link in enumerate(self.links):
+            for e, link in enumerate(links):
                 out[e] = default_link_weight(link)
         else:
-            for e, link in enumerate(self.links):
+            for e, link in enumerate(links):
                 w = weight(link)
-                if w < 0:
-                    raise ValueError(f"negative link weight {w} on {link.key}")
+                if not 0.0 <= w < inf:
+                    raise _weight_error(link, "weight", w)
                 out[e] = w
         return out
 

@@ -59,6 +59,8 @@ class Topology:
         self._nodes: Dict[Any, Node] = {}
         self._adjacency: Dict[Any, Dict[Any, Link]] = {}
         self._links: Dict[Tuple[Any, Any], Link] = {}
+        # Endpoints of re-inserted links still out of stamp order.
+        self._unsettled: Set[Any] = set()
         self.metadata: Dict[str, Any] = {}
         self._version: int = 0
         self._compiled: Optional["CompiledGraph"] = None
@@ -97,6 +99,7 @@ class Topology:
         """
         from .compiled import CompiledGraph
 
+        self._settle()
         if self._compiled is None or self._compiled.version != self._version:
             self._compiled = CompiledGraph(self)
         return self._compiled
@@ -232,24 +235,51 @@ class Topology:
             load=load,
             attributes=dict(attributes),
         )
-        self._links[key] = link
-        self._adjacency[u][v] = link
-        self._adjacency[v][u] = link
-        self._bump_version()
-        return link
+        return self._insert(key, link)
 
     def add_link_object(self, link: Link) -> Link:
-        """Add an already-constructed :class:`Link` instance."""
+        """Add an already-constructed :class:`Link` instance, last in link order."""
         self._require_node(link.source)
         self._require_node(link.target)
         key = link.key
         if key in self._links:
             raise TopologyError(f"link {key} already exists")
+        return self._insert(key, link)
+
+    def _reinsert_link(self, link: Link) -> None:
+        """Put a link removed from this topology back in its old place (undo).
+
+        It keeps its stamp; the dicts take it at the end until :meth:`_settle`.
+        """
+        self._insert(link.key, link, link._stamp)
+        self._unsettled.update(link.endpoints)
+
+    def _insert(self, key: Tuple[Any, Any], link: Link, stamp: Optional[int] = None) -> Link:
+        # A link's stamp is the version it was first inserted at: a plain
+        # attribute, not a dataclass field, so Link equality, repr and
+        # to_dict never see it.
+        link._stamp = self._version if stamp is None else stamp
         self._links[key] = link
         self._adjacency[link.source][link.target] = link
         self._adjacency[link.target][link.source] = link
         self._bump_version()
         return link
+
+    def _settle(self) -> None:
+        """Sort the link table and the re-inserted endpoints' rows by stamp.
+
+        Only :meth:`_reinsert_link` puts the dicts out of stamp order, so one
+        sort per burst of re-inserts restores it under any interleaving.
+        """
+        if not self._unsettled:
+            return
+        self._links = dict(sorted(self._links.items(), key=_by_stamp))
+        adjacency = self._adjacency
+        for node_id in self._unsettled:
+            row = adjacency.get(node_id)
+            if row is not None:
+                adjacency[node_id] = dict(sorted(row.items(), key=_by_stamp))
+        self._unsettled.clear()
 
     def remove_link(self, u: Any, v: Any) -> None:
         """Remove the link between ``u`` and ``v``."""
@@ -260,36 +290,6 @@ class Topology:
         del self._adjacency[u][v]
         del self._adjacency[v][u]
         self._bump_version()
-
-    def _restore_link_order(
-        self,
-        links_order: List[Tuple[Any, Any]],
-        adjacency_order: Dict[Any, List[Any]],
-    ) -> None:
-        """Restore link/adjacency dict iteration order (undo support).
-
-        Re-inserting a removed :class:`Link` lands it at the *end* of the
-        link and adjacency dicts, so a remove → revert round trip would
-        otherwise permute the compiled edge order — structurally identical,
-        but no longer byte-identical for edge-indexed load columns.  Undo
-        records capture the pre-removal orders and call this after the links
-        are back.  Raises :class:`TopologyError` when the captured key sets
-        no longer match the live dicts (an interleaved structural mutation
-        that should have been reverted first).
-        """
-        if set(links_order) != set(self._links):
-            raise TopologyError(
-                "cannot restore link order: link set changed since capture"
-            )
-        self._links = {key: self._links[key] for key in links_order}
-        for u, neighbors in adjacency_order.items():
-            row = self._adjacency[u]
-            if set(neighbors) != set(row):
-                raise TopologyError(
-                    f"cannot restore adjacency order of {u!r}: "
-                    f"neighbor set changed since capture"
-                )
-            self._adjacency[u] = {v: row[v] for v in neighbors}
 
     def has_link(self, u: Any, v: Any) -> bool:
         """Return True if a link between ``u`` and ``v`` exists."""
@@ -305,11 +305,13 @@ class Topology:
         return self._links[key]
 
     def links(self) -> Iterator[Link]:
-        """Iterate over link objects."""
+        """Iterate over link objects, in stamp (insertion) order."""
+        self._settle()
         return iter(self._links.values())
 
     def link_keys(self) -> Iterator[Tuple[Any, Any]]:
-        """Iterate over canonical link keys."""
+        """Iterate over canonical link keys, in stamp (insertion) order."""
+        self._settle()
         return iter(self._links.keys())
 
     @property
@@ -321,13 +323,15 @@ class Topology:
     # Neighborhood / degree
     # ------------------------------------------------------------------
     def neighbors(self, node_id: Any) -> List[Any]:
-        """Return the neighbor identifiers of a node."""
+        """Return the neighbor identifiers of a node, in link stamp order."""
         self._require_node(node_id)
+        self._settle()
         return list(self._adjacency[node_id].keys())
 
     def incident_links(self, node_id: Any) -> List[Link]:
-        """Return the links incident to a node."""
+        """Return the links incident to a node, in stamp order."""
         self._require_node(node_id)
+        self._settle()
         return list(self._adjacency[node_id].values())
 
     def degree(self, node_id: Any) -> int:
@@ -413,6 +417,7 @@ class Topology:
         missing = keep - set(self._nodes)
         if missing:
             raise TopologyError(f"nodes not in topology: {sorted(map(repr, missing))}")
+        self._settle()
         sub = Topology(name=name or f"{self.name}-subgraph")
         for node_id in self._nodes:
             if node_id in keep:
@@ -433,10 +438,12 @@ class Topology:
     # ------------------------------------------------------------------
     def total_install_cost(self) -> float:
         """Sum of installation costs over all links."""
+        self._settle()
         return sum(link.install_cost for link in self._links.values())
 
     def total_usage_cost(self) -> float:
         """Sum of usage costs (marginal cost times load) over all links."""
+        self._settle()
         return sum(link.usage_cost * link.load for link in self._links.values())
 
     def total_cost(self) -> float:
@@ -445,6 +452,7 @@ class Topology:
 
     def total_length(self) -> float:
         """Sum of link lengths (total installed fiber mileage)."""
+        self._settle()
         return sum(link.length for link in self._links.values())
 
     def total_demand(self) -> float:
@@ -467,6 +475,7 @@ class Topology:
         Checks adjacency/link-dictionary consistency, degree constraints, and
         capacity violations (load exceeding installed capacity).
         """
+        self._settle()
         problems: List[str] = []
         for key, link in self._links.items():
             if link.source not in self._nodes or link.target not in self._nodes:
@@ -553,6 +562,10 @@ class Topology:
             f"Topology(name={self.name!r}, nodes={self.num_nodes}, "
             f"links={self.num_links})"
         )
+
+
+def _by_stamp(item: Tuple[Any, Link]) -> int:
+    return item[1]._stamp
 
 
 def union(topologies: Sequence[Topology], name: str = "union") -> Topology:

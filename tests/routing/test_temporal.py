@@ -384,3 +384,71 @@ class TestSuiteDeterminism:
         serial_hashes = [row["final_hash"] for row in serial.tables["cascade"]]
         parallel_hashes = [row["final_hash"] for row in parallel.tables["cascade"]]
         assert serial_hashes == parallel_hashes
+
+
+def grid_instance(seed, backend, side=12, num_pairs=60, surge=6.0):
+    """Unit-length ``side`` x ``side`` lattice: every shortest path has ties.
+
+    Capacities are provisioned for the base single-path routing on
+    ``backend``; the surge then trips links over several rounds.
+    """
+    rng = random.Random(seed)
+    topo = Topology(name=f"grid-{side}-{seed}")
+    for i in range(side):
+        for j in range(side):
+            topo.add_node(i * side + j, location=(float(i), float(j)))
+    for i in range(side):
+        for j in range(side):
+            if i + 1 < side:
+                topo.add_link(i * side + j, (i + 1) * side + j)
+            if j + 1 < side:
+                topo.add_link(i * side + j, i * side + j + 1)
+    n = side * side
+    chosen = set()
+    while len(chosen) < num_pairs:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            chosen.add((u, v))
+    chosen = sorted(chosen)
+    demand = DemandMatrix.from_arrays(
+        [str(i) for i in range(n)],
+        [u for u, _ in chosen],
+        [v for _, v in chosen],
+        [float(rng.randint(1, 9)) for _ in chosen],
+    )
+    emap = {str(i): i for i in range(n)}
+    base = route_demand(topo, demand, endpoint_map=emap, mode="single", backend=backend)
+    provision_topology(topo, default_catalog(), flow=base)
+    return topo, demand.scaled(surge), emap
+
+
+class TestCascadeTies:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_rounds_match_fresh_routing_on_tied_grids(self, backend):
+        """On tie-heavy lattices, each single-path round's loads equal a
+        from-scratch route_demand on the topology minus the earlier rounds'
+        tripped links, bit for bit: keeping the columns of sources that
+        carried no flow on a tripped link changes no tie-break."""
+        if backend == "numpy" and not have_numpy_backend():
+            pytest.skip("scipy not available")
+        for seed in range(6):
+            topo, surge, emap = grid_instance(seed, backend)
+            cascade = failure_cascade(
+                topo, surge, endpoint_map=emap, mode="single", backend=backend
+            )
+            assert cascade.fixed_point and cascade.num_rounds >= 3
+            gone = []
+            for cascade_round in cascade.rounds:
+                degraded = topo.copy()
+                for key in gone:
+                    degraded.remove_link(*key)
+                fresh = route_demand(
+                    degraded, surge, endpoint_map=emap, mode="single", backend=backend
+                )
+                flow = cascade_round.flow
+                assert fresh.graph.edge_keys == flow.graph.edge_keys
+                assert (
+                    array("d", fresh.edge_loads).tobytes()
+                    == array("d", flow.edge_loads).tobytes()
+                )
+                gone.extend(cascade_round.tripped)

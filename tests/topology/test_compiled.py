@@ -1,9 +1,13 @@
 """Tests for repro.topology.compiled (CSR view + versioned invalidation)."""
 
+import math
+
 import pytest
 
+from repro.topology import compiled as compiled_module
 from repro.topology.compiled import (
     KERNEL_COUNTERS,
+    default_link_weight,
     bfs_indices,
     components_indices,
     dijkstra_indices,
@@ -211,3 +215,51 @@ class TestCounters:
         assert snapshot["multi_source"] == 1
         assert snapshot["bfs"] == 1
         assert snapshot["components"] == 1
+
+
+BAD_VALUES = [math.nan, math.inf, -math.inf, -1.0]
+
+
+@pytest.fixture(params=["numpy", "array"])
+def weight_leg(request, monkeypatch):
+    """Run edge_weights on the numpy leg, then again on the ``array`` leg."""
+    if request.param == "numpy" and not compiled_module._HAVE_NUMPY:
+        pytest.skip("numpy not available")
+    if request.param == "array":
+        monkeypatch.setattr(compiled_module, "_HAVE_NUMPY", False)
+    return request.param
+
+
+class TestWeightBoundary:
+    """A bad value set on a link after construction must not route."""
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_bad_length_rejected_on_default_leg(self, weight_leg, bad):
+        topo = diamond()
+        topo.link("c", "d").length = bad
+        with pytest.raises(ValueError, match=r"link \('c', 'd'\): length must be finite"):
+            topo.compiled().edge_weights()
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_bad_custom_weight_rejected(self, weight_leg, bad):
+        graph = diamond().compiled()
+
+        def weight(link):
+            return bad if link.key == ("a", "c") else 1.0
+
+        with pytest.raises(ValueError, match=r"link \('a', 'c'\): weight must be finite"):
+            graph.edge_weights(weight)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES)
+    def test_default_link_weight_rejects_bad_length(self, bad):
+        link = Link(source="a", target="b", length=1.0)
+        link.length = bad
+        with pytest.raises(ValueError, match="length must be finite"):
+            default_link_weight(link)
+
+    def test_zero_length_weighs_one(self, weight_leg):
+        topo = diamond()
+        topo.link("a", "b").length = 0.0
+        weights = topo.compiled().edge_weights()
+        assert list(weights) == [1.0, 1.0, 2.0, 2.0]
+        assert default_link_weight(topo.link("a", "b")) == 1.0
