@@ -5,9 +5,10 @@ Two implementations share the :class:`AssignmentResult` boundary:
 * ``method="batched"`` (default) runs the vectorized traffic engine
   (:mod:`repro.routing.engine`): endpoint names are resolved once into a
   :class:`~repro.routing.engine.CompiledDemand`, one shortest-path search
-  runs per unique source, and volumes scatter onto a per-edge load column
-  that is flushed back to ``Link.load`` in a single pass.  ``mode="ecmp"``
-  additionally splits each pair's volume equally over tied shortest paths.
+  runs per unique source, and each source's flow record adds onto a
+  per-edge load column that is flushed back to ``Link.load`` in a single
+  pass.  ``mode="ecmp"`` additionally splits each pair's volume equally
+  over tied shortest paths.
 * ``method="per-pair"`` is the seed implementation — one
   :class:`~repro.routing.paths.PathCache` path resolution per pair with
   per-link object accumulation — kept as the equivalence reference the

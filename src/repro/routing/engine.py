@@ -15,10 +15,11 @@ for that traffic.  This module is the array pipeline behind that evaluation:
   one step (a pre-compiled :class:`CompiledDemand` is also accepted), with
   switches validated through :class:`~repro.routing.options.RoutingOptions`.
   Every pair routes with **one shortest-path search per unique source**
-  (``KERNEL_COUNTERS.traffic_batched_sources`` counts them) and volumes
-  scatter onto a per-edge load column by pushing flow down the predecessor
-  tree — O(V) subtree accumulation per source instead of one path
-  resolution per pair.
+  (``KERNEL_COUNTERS.traffic_batched_sources`` counts them).  Each source's
+  volumes then flow target→source over the union of its targets'
+  predecessor paths only, into a sparse per-source record — O(path union)
+  per source, not O(V) and not one path resolution per pair — and the
+  records add into one per-edge load column.
 * **ECMP mode** (``mode="ecmp"``) splits each pair's volume equally across
   all tied shortest paths: per source, shortest-path counts are accumulated
   along the equal-distance DAG and flow is distributed proportionally
@@ -33,28 +34,35 @@ Backends
 
 ``route_demand`` takes the library-wide ``backend=`` switch (see
 :mod:`repro.topology.compiled`).  Both backends run inside one private
-per-source kernel, :func:`_route_sources`, which has two callers: flat
-routing here (every source scatters into one shared load column) and the
-temporal engine of :mod:`repro.routing.temporal` (every source scatters into
-a fresh column it retains).  Every scatter kernel adds to each edge at most
-once per source, so scattering into fresh columns and summing them gives the
-same bits as scattering straight into a shared column, provided the sources
-come in the same order.  The ``"python"`` path is the canonical reference:
-one heapq Dijkstra per unique source, predecessor-tree scatter in reverse
-tree-BFS order.  The ``"numpy"`` path batches sources through
-``scipy.sparse.csgraph.dijkstra`` (many sources per call over the cached CSR
-matrix) and replaces the per-node Python loops with array programs:
+per-source kernel, :func:`_route_sources`, which returns each source's flow
+as a **record** ``(edge_ids, flows)``: only the edges the source loads, each
+named **at most once**, every flow nonzero.  It has two callers: flat
+routing here adds every record into one load column, and the temporal
+engine of :mod:`repro.routing.temporal` retains the records and adds them
+per step.  Because a record names an edge at most once, ``column[ids] +=
+flows`` is one addition per edge and source, so records added in a fixed
+source order give the same bits as one shared column filled in that order.
+The ``"python"`` path is the canonical
+reference: one heapq Dijkstra per unique source.  The ``"numpy"`` path
+batches sources through ``scipy.sparse.csgraph.dijkstra`` (many sources per
+call over the cached CSR matrix) and replaces per-node Python loops with
+array programs where the work is V- or E-wide:
 
-* **Single-path scatter**: tree depths are computed from the predecessor
-  array by pointer doubling (O(V log depth)), giving a topological order of
-  the shortest-path tree; flow then cascades one depth level at a time with
-  ``np.add.at`` — every node at a level pushes its accumulated subtree flow
-  to its parent simultaneously.
+* **Single-path records**: one shared walk, :func:`_path_union`, climbs
+  each target's predecessor chain until it meets a node already reached, so
+  it visits only the union of the target→source paths and records each
+  node's hop depth.  Flow then cascades over that union one depth level at
+  a time, deepest first: the numpy leg pushes a whole level onto its
+  parents with one ``np.add.at`` in ascending node id, the Python leg node
+  by node in descending node id.  Each leg's per-parent addition order is
+  pinned by the E11–E13 payload digests (E12 records Python-reference
+  parity loads), so the two orders are deliberately not unified.
 * **ECMP**: the equal-distance DAG is extracted edge-wise over all
   half-edges at once (``dist[u] + w == dist[v]``, exact float equality);
   path counts and flow shares are accumulated level-by-level over the sorted
   unique distance values (strictly positive weights mean equal-distance
-  nodes are never DAG-ordered).
+  nodes are never DAG-ordered).  A DAG edge points one way only, so its
+  share enters the record once.
 
 The numpy backend requires strictly positive weights (csgraph's sparse
 representation is ambiguous about explicit zeros); under ``backend="auto"``
@@ -99,7 +107,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from math import inf
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..topology.compiled import (
     BATCH_CHUNK_CELLS,
@@ -362,7 +370,7 @@ def route_demand(
       module docstring for the tie caveat); ``"ecmp"`` splits each pair's
       volume equally over all tied shortest paths.
     * ``backend``: ``"python"`` (canonical reference), ``"numpy"`` (batched
-      ``csgraph`` searches + vectorized scatter; requires scipy and strictly
+      ``csgraph`` searches + vectorized flow records; requires scipy and strictly
       positive weights), or ``"auto"``.  See the module docstring for the
       backend equivalence contract.
     * ``method``: ``"flat"`` (one search per unique source — the engine in
@@ -510,18 +518,26 @@ def _pair_groups(sources: array) -> Dict[int, List[int]]:
     return groups
 
 
-#: Per-source routing outcome: ``(routed_volume, routed_pairs, unrouted)``.
-SourceStats = Tuple[float, int, List[Tuple[str, str, float]]]
+#: One source's flow as a sparse record ``(edge_ids, flows)``: it covers only
+#: the edges on the union of the source's routed shortest paths, names each
+#: edge at most once and holds only nonzero flows.
+Record = Tuple[Any, Any]
+
+#: Per-source routing outcome: ``(routed_volume, routed_pairs, unrouted,
+#: record)``.
+SourceRoute = Tuple[float, int, List[Tuple[str, str, float]], Record]
+
+#: The record of a source that loads no edge.
+_NO_FLOW: Record = ([], [])
 
 
 def _route_flat(
     demand: CompiledDemand, weights: Any, mode: str, use_numpy: bool
 ) -> FlowResult:
-    """Flat routing: every source scatters into one shared load column."""
+    """Flat routing: every source's record adds into one load column."""
     graph = demand.graph
-    edge_loads = _zero_column(graph.num_edges, use_numpy)
     groups = _pair_groups(demand.sources)
-    stats = _route_sources(
+    routes = _route_sources(
         graph,
         weights,
         mode,
@@ -531,12 +547,11 @@ def _route_flat(
         demand.volumes,
         demand.labels,
         list(groups),
-        lambda source: edge_loads,
     )
-    routed_volume, routed_pairs, unrouted = _tally(stats.values(), demand.unmatched)
+    routed_volume, routed_pairs, unrouted = _tally(routes.values(), demand.unmatched)
     return FlowResult(
         graph=graph,
-        edge_loads=edge_loads,
+        edge_loads=_add_records(graph.num_edges, use_numpy, routes.values()),
         routed_volume=routed_volume,
         routed_pairs=routed_pairs,
         unrouted=unrouted,
@@ -544,21 +559,33 @@ def _route_flat(
     )
 
 
-def _zero_column(num_edges: int, use_numpy: bool) -> Any:
-    """An all-zero edge column in the backend's type."""
+def _add_records(num_edges: int, use_numpy: bool, routes: Iterable[SourceRoute]) -> Any:
+    """Add the routes' records, in the given order, into a fresh zero column.
+
+    A record names each edge at most once, so ``column[ids] += flows`` is one
+    addition per edge and source — the same float sequence, edge by edge, as
+    scattering every source straight into one shared column in that order.
+    """
     if use_numpy:
-        return _np.zeros(num_edges, dtype=_np.float64)
-    return array("d", [0.0]) * num_edges
+        column = _np.zeros(num_edges, dtype=_np.float64)
+        for *_, (ids, flows) in routes:
+            column[ids] += flows
+        return column
+    column = array("d", [0.0]) * num_edges
+    for *_, (ids, flows) in routes:
+        for e, flow in zip(ids, flows):
+            column[e] += flow
+    return column
 
 
 def _tally(
-    stats: Iterable[SourceStats], unmatched: List[Tuple[str, str, float]]
-) -> SourceStats:
+    routes: Iterable[SourceRoute], unmatched: List[Tuple[str, str, float]]
+) -> Tuple[float, int, List[Tuple[str, str, float]]]:
     """Sum per-source outcomes in the given order; unmatched pairs lead."""
     routed_volume = 0.0
     routed_pairs = 0
     unrouted = list(unmatched)
-    for volume, pairs, source_unrouted in stats:
+    for volume, pairs, source_unrouted, _record in routes:
         routed_volume += volume
         routed_pairs += pairs
         unrouted.extend(source_unrouted)
@@ -575,53 +602,46 @@ def _route_sources(
     volumes: array,
     labels: List[Tuple[str, str]],
     sources: List[int],
-    column_for: Callable[[int], Any],
-) -> Dict[int, SourceStats]:
-    """The per-source routing kernel: one search and one scatter per source.
+) -> Dict[int, SourceRoute]:
+    """The per-source routing kernel: one search and one flow record per source.
 
-    Flat routing passes one shared load column as ``column_for``; the
-    temporal engine passes a fresh column it retains per source.  Only pairs
-    with positive volume route; a source with none is not searched and
-    reports ``(0.0, 0, [])``.  Per searched source, positive-volume pairs add
-    their volume at their target in pair order, unreachable ones land in the
-    source's ``unrouted`` list, and if any volume routed it scatters into
-    ``column_for(source)``.  The Python backend searches with the heapq
+    Only pairs with positive volume route; a source with none is not searched
+    and reports ``(0.0, 0, [], _NO_FLOW)``.  Per searched source,
+    positive-volume pairs add their volume at their target in pair order and
+    unreachable ones land in the source's ``unrouted`` list; a pair whose
+    endpoints compile to one node counts as routed and loads nothing.  The
+    routed volume then flows target→source into the source's
+    :data:`Record`: single-path mode cascades it over the
+    :func:`_path_union` of the predecessor tree, ECMP mode over the
+    tied-path DAG.  A record names each edge at most once and only with a
+    nonzero flow, so its edge ids are exactly the edges the source loads and
+    records added in a fixed order give the same bits as one shared column
+    filled in that order.  The Python backend searches with the heapq
     Dijkstra in the given order; the numpy backend searches in sorted order,
-    many sources per chunked ``csgraph`` call.  Every scatter kernel adds to
-    each edge at most once per source, which is what makes fresh columns
-    summed in a fixed order bit-identical to one shared column.
+    many sources per chunked ``csgraph`` call.
 
-    Returns ``{source: (routed_volume, routed_pairs, unrouted)}``: unsearched
-    sources first, then searched ones in search order.
+    Returns ``{source: (routed_volume, routed_pairs, unrouted, record)}``:
+    unsearched sources first, then searched ones in search order.
     """
-    stats: Dict[int, SourceStats] = {}
+    routes: Dict[int, SourceRoute] = {}
     searched = []
     for source in sources:
         if any(volumes[p] > 0.0 for p in groups[source]):
             searched.append(source)
         else:
-            stats[source] = (0.0, 0, [])
+            routes[source] = (0.0, 0, [], _NO_FLOW)
     if use_numpy:
         _route_sources_numpy(
-            graph,
-            weights,
-            mode,
-            groups,
-            targets,
-            volumes,
-            labels,
-            searched,
-            column_for,
-            stats,
+            graph, weights, mode, groups, targets, volumes, labels, searched, routes
         )
-        return stats
+        return routes
     n = graph.num_nodes
     for source in searched:
         dist, pred, pred_edge = dijkstra_indices(graph, source, weights)
         KERNEL_COUNTERS.traffic_batched_sources += 1
         node_flow = array("d", [0.0]) * n
         routed_volume = 0.0
-        routed_pairs = 0
+        routed_targets: List[int] = []
         unrouted: List[Tuple[str, str, float]] = []
         for p in groups[source]:
             volume = volumes[p]
@@ -633,56 +653,76 @@ def _route_sources(
                 continue
             node_flow[target] += volume
             routed_volume += volume
-            routed_pairs += 1
-        KERNEL_COUNTERS.traffic_assigned_pairs += routed_pairs
-        if routed_volume > 0.0:
-            column = column_for(source)
-            if mode == "single":
-                _scatter_tree(graph, source, pred, pred_edge, node_flow, column)
-            else:
-                _scatter_ecmp(graph, source, dist, weights, node_flow, column)
-        stats[source] = (routed_volume, routed_pairs, unrouted)
-    return stats
+            routed_targets.append(target)
+        KERNEL_COUNTERS.traffic_assigned_pairs += len(routed_targets)
+        if not routed_targets:
+            record = _NO_FLOW
+        elif mode == "single":
+            record = _tree_record(source, pred, pred_edge, node_flow, routed_targets)
+        else:
+            record = _ecmp_record(graph, source, dist, weights, node_flow)
+        routes[source] = (routed_volume, len(routed_targets), unrouted, record)
+    return routes
 
 
-def _scatter_tree(
-    graph: CompiledGraph,
+def _path_union(source: int, pred: Any, targets: Iterable[int]) -> List[List[int]]:
+    """The nodes on the targets' predecessor paths to ``source``, by depth.
+
+    Each target's walk up ``pred`` stops at the first node already reached
+    (``source`` starts reached), so every union node is entered once and the
+    walk costs O(union), not O(V).  Returns ``levels``, where
+    ``levels[d - 1]`` lists the union nodes ``d`` tree hops below
+    ``source`` in no particular order; ``source`` itself is not listed.
+    """
+    depth = {source: 0}
+    levels: List[List[int]] = []
+    for v in targets:
+        path = []
+        while v not in depth:
+            path.append(v)
+            v = int(pred[v])
+        d = depth[v]
+        for v in reversed(path):
+            d += 1
+            depth[v] = d
+            if d > len(levels):
+                levels.append([])
+            levels[d - 1].append(v)
+    return levels
+
+
+def _tree_record(
     source: int,
     pred: List[int],
     pred_edge: List[int],
     node_flow: array,
-    edge_loads: array,
-) -> None:
-    """Push per-target volumes down the predecessor tree in one O(V) sweep.
+    targets: List[int],
+) -> Record:
+    """Single-path record: push subtree flows up the path union.
 
-    Processing reached nodes in reverse BFS-over-the-tree order guarantees
-    every node is visited after all of its tree children, so each edge
-    receives its whole subtree flow with a single addition.
+    Levels go deepest first and nodes within a level in descending id, so
+    each node has its whole subtree flow before it passes it on, and each
+    parent receives its children's flows in descending child id.  Every
+    union node adds that flow to its predecessor edge exactly once.
     """
-    children: List[List[int]] = [[] for _ in range(graph.num_nodes)]
-    for v, parent in enumerate(pred):
-        if parent != -1:
-            children[parent].append(v)
-    order = [source]
-    head = 0
-    while head < len(order):
-        order.extend(children[order[head]])
-        head += 1
-    for v in reversed(order):
-        flow = node_flow[v]
-        if flow != 0.0 and v != source:
-            edge_loads[pred_edge[v]] += flow
+    ids: List[int] = []
+    flows: List[float] = []
+    for level in reversed(_path_union(source, pred, targets)):
+        for v in sorted(level, reverse=True):
+            flow = node_flow[v]
+            ids.append(pred_edge[v])
+            flows.append(flow)
             node_flow[pred[v]] += flow
+    return ids, flows
 
 
-def _scatter_ecmp(
+def _ecmp_record(
     graph: CompiledGraph,
     source: int,
     dist: List[float],
     weights: Any,
     node_flow: array,
-    edge_loads: array,
-) -> None:
+) -> Record:
     """Split flow over all tied shortest paths, proportionally to path counts.
 
     For every reached node the predecessor edges of the shortest-path DAG are
@@ -691,7 +731,8 @@ def _scatter_ecmp(
     visited in ascending edge-index order.  Path counts ``sigma`` accumulate
     source-outward; flow then distributes target-inward, each node passing
     ``sigma[u] / sigma[v]`` of its flow to DAG predecessor ``u`` — exactly an
-    equal share per tied shortest path (Brandes-style accumulation).
+    equal share per tied shortest path (Brandes-style accumulation).  A DAG
+    edge points one way only, so the record names each edge at most once.
     """
     rows = graph.adjacency_rows()
     weight_values = weights.tolist()
@@ -714,6 +755,8 @@ def _scatter_ecmp(
         for _, u in preds:
             total += sigma[u]
         sigma[v] = total
+    ids: List[int] = []
+    flows: List[float] = []
     for v in reversed(reached):
         flow = node_flow[v]
         if flow == 0.0 or v == source:
@@ -724,8 +767,11 @@ def _scatter_ecmp(
         sigma_v = sigma[v]
         for e, u in preds:
             share = flow * (sigma[u] / sigma_v)
-            edge_loads[e] += share
+            if share != 0.0:  # a subnormal flow can split to zero
+                ids.append(e)
+                flows.append(share)
             node_flow[u] += share
+    return ids, flows
 
 
 def _route_sources_numpy(
@@ -737,10 +783,9 @@ def _route_sources_numpy(
     volumes: array,
     labels: List[Tuple[str, str]],
     sources: List[int],
-    column_for: Callable[[int], Any],
-    stats: Dict[int, SourceStats],
+    routes: Dict[int, SourceRoute],
 ) -> None:
-    """Numpy leg of :func:`_route_sources`: batched searches, array scatter.
+    """Numpy leg of :func:`_route_sources`: batched searches, array records.
 
     Sources are searched in sorted order, many per scipy call (chunked to
     :data:`~repro.topology.compiled.BATCH_CHUNK_CELLS`), and each source's
@@ -785,81 +830,60 @@ def _route_sources_numpy(
                 for p in positions[positive & ~reachable].tolist()
             ]
             node_flow = _np.zeros(n, dtype=_np.float64)
-            _np.add.at(node_flow, pair_targets[reachable], pair_volumes[reachable])
-            routed_pairs = int(reachable.sum())
+            routed_targets = pair_targets[reachable]
+            _np.add.at(node_flow, routed_targets, pair_volumes[reachable])
+            routed_pairs = len(routed_targets)
             routed_volume = float(pair_volumes[reachable].sum())
             KERNEL_COUNTERS.traffic_assigned_pairs += routed_pairs
-            if routed_volume > 0.0:
-                column = column_for(source)
-                if mode == "single":
-                    _scatter_tree_numpy(
-                        graph, source, dist, pred_rows[k], node_flow, column
-                    )
-                else:
-                    _scatter_ecmp_numpy(
-                        graph, source, dist, weights, node_flow, column
-                    )
-            stats[source] = (routed_volume, routed_pairs, unrouted)
+            if not routed_pairs:
+                record = _NO_FLOW
+            elif mode == "single":
+                record = _tree_record_numpy(
+                    graph, source, pred_rows[k], node_flow, routed_targets.tolist()
+                )
+            else:
+                record = _ecmp_record_numpy(graph, source, dist, weights, node_flow)
+            routes[source] = (routed_volume, routed_pairs, unrouted, record)
 
 
-def _scatter_tree_numpy(
+def _tree_record_numpy(
     graph: CompiledGraph,
     source: int,
-    dist: Any,
     pred: Any,
     node_flow: Any,
-    edge_loads: Any,
-) -> None:
-    """Vectorized subtree scatter: pointer-doubled depths + level cascade.
+    targets: List[int],
+) -> Record:
+    """Vectorized single-path record: a level cascade over the path union.
 
-    The predecessor array defines the shortest-path tree; tree depth per node
-    is computed by pointer doubling (each round squares the ancestor pointer,
-    O(V log depth) total), which yields a topological order.  Flow then
-    cascades from the deepest level upward: all nodes of one depth push their
-    accumulated subtree flow onto their parents with a single ``np.add.at``
-    per level, and onto their predecessor edges (unique per level) with a
-    vectorized indexed add.
+    Levels go deepest first; all nodes of one level, in ascending id, push
+    their accumulated subtree flow onto their parents with one
+    ``np.add.at``, so each parent receives its children's flows in
+    ascending child id.  Predecessor edges are resolved for the union only,
+    in one :meth:`~repro.topology.compiled.CompiledGraph.edge_ids_for_pairs`
+    call.
     """
-    nodes = _np.arange(n := graph.num_nodes, dtype=_np.int64)
-    parent = pred.astype(_np.int64)
-    has_parent = parent >= 0
-    anchored = _np.where(has_parent, parent, nodes)
-    depth = has_parent.astype(_np.int64)
-    anc = anchored
-    while True:
-        anc_next = anc[anc]
-        if _np.array_equal(anc_next, anc):
-            break
-        depth = depth + depth[anc]
-        anc = anc_next
-    carriers = has_parent  # reached, non-source nodes
-    if not carriers.any():
-        return
-    carrier_nodes = nodes[carriers]
-    carrier_edges = graph.edge_ids_for_pairs(parent[carriers], carrier_nodes)
-    edge_of = _np.full(n, -1, dtype=_np.int64)
-    edge_of[carrier_nodes] = carrier_edges
-    max_depth = int(depth[carriers].max())
-    for level in range(max_depth, 0, -1):
-        vs = carrier_nodes[depth[carriers] == level]
-        flows = node_flow[vs]
-        active = flows != 0.0
-        if not active.any():
-            continue
-        vs = vs[active]
-        flows = flows[active]
-        edge_loads[edge_of[vs]] += flows  # pred edges are unique per node
-        _np.add.at(node_flow, parent[vs], flows)
+    nodes, parents, flows = [], [], []
+    for level in reversed(_path_union(source, pred, targets)):
+        vs = _np.array(sorted(level), dtype=_np.int64)
+        up = pred[vs]
+        level_flows = node_flow[vs]
+        _np.add.at(node_flow, up, level_flows)
+        nodes.append(vs)
+        parents.append(up)
+        flows.append(level_flows)
+    if not nodes:
+        return _NO_FLOW
+    edge_ids = graph.edge_ids_for_pairs(_np.concatenate(parents), _np.concatenate(nodes))
+    return edge_ids, _np.concatenate(flows)
 
 
-def _scatter_ecmp_numpy(
+def _ecmp_record_numpy(
     graph: CompiledGraph,
     source: int,
     dist: Any,
     weights: Any,
     node_flow: Any,
-    edge_loads: Any,
-) -> None:
+) -> Record:
     """Vectorized ECMP: edge-wise DAG extraction + distance-level cascade.
 
     The shortest-path DAG is extracted over all half-edges at once with the
@@ -868,7 +892,8 @@ def _scatter_ecmp_numpy(
     ascending unique distance levels and flow shares distribute over
     descending levels — valid orderings because strictly positive weights
     mean equal-distance nodes can never precede each other in the DAG.
-    Shares are accumulated column-wise with ``np.add.at`` per level.
+    Each level's shares join the record and pass to the tails with
+    ``np.add.at``; a DAG edge points one way only, so no edge repeats.
     """
     n = graph.num_nodes
     indptr = _np.asarray(graph.indptr, dtype=_np.int64)
@@ -897,19 +922,27 @@ def _scatter_ecmp_numpy(
         if lo == hi:
             continue
         _np.add.at(sigma, dag_heads[lo:hi], sigma[dag_tails[lo:hi]])
+    ids, flows = [], []
     for level in range(len(levels) - 1, 0, -1):
         lo, hi = bounds[level], bounds[level + 1]
         if lo == hi:
             continue
         h = dag_heads[lo:hi]
-        flows = node_flow[h]
-        active = flows != 0.0
+        level_flows = node_flow[h]
+        active = level_flows != 0.0
         if not active.any():
             continue
         level_nodes = _np.unique(h[active])
         KERNEL_COUNTERS.traffic_ecmp_splits += int(
             (pred_count[level_nodes] > 1).sum()
         )
-        shares = flows[active] * sigma[dag_tails[lo:hi]][active] / sigma[h][active]
-        _np.add.at(edge_loads, dag_edges[lo:hi][active], shares)
+        shares = (
+            level_flows[active] * sigma[dag_tails[lo:hi]][active] / sigma[h][active]
+        )
+        nonzero = shares != 0.0  # a subnormal flow can split to zero
+        ids.append(dag_edges[lo:hi][active][nonzero])
+        flows.append(shares[nonzero])
         _np.add.at(node_flow, dag_tails[lo:hi][active], shares)
+    if not ids:
+        return _NO_FLOW
+    return _np.concatenate(ids), _np.concatenate(flows)

@@ -17,37 +17,37 @@ source per step, even though consecutive steps of a realistic series differ
 in only a few sources (a flash crowd touches its hotspots, everything else
 carries yesterday's traffic).  :func:`compile_series` therefore compiles the
 **union** of every step's pairs once, with one shared orientation, and
-:func:`route_series` retains a **per-source load column** for every demand
-source:
+:func:`route_series` retains a **per-source flow record** for every demand
+source — the sparse ``(edge_ids, flows)`` record of the engine kernel,
+covering only the edges that source loads, each named at most once:
 
 * At step ``t`` the engine diffs the step's per-pair volume column against
   step ``t-1`` and re-resolves only the sources whose volumes moved —
-  one search + scatter per *changed* source
+  one search + record per *changed* source
   (``KERNEL_COUNTERS.temporal_resolved_sources`` counts them, so benchmarks
   gate that the diff path actually engaged instead of assuming it).
-* The step's total load column is then rebuilt **fresh** by summing the
-  retained per-source columns in compile (first-appearance) source order.
-  The sum is a pure function of the per-source columns — never an
-  incremental ``+delta`` update — so a step's loads are independent of the
-  *history* of which sources happened to be re-resolved, and
-  ``route_series(..., reuse=False)`` (re-resolve everything, every step) is
-  bit-identical to the diff path by construction.
+* The step's total load column is then rebuilt **fresh** by adding the
+  retained records in compile (first-appearance) source order.  The sum is
+  a pure function of the records — never an incremental ``+delta`` update —
+  so a step's loads are independent of the *history* of which sources
+  happened to be re-resolved, and ``route_series(..., reuse=False)``
+  (re-resolve everything, every step) is bit-identical to the diff path by
+  construction.
 
-This module keeps no search or scatter of its own.  Every re-resolution runs
-through the one per-source kernel of :mod:`repro.routing.engine`, whose other
-caller is flat ``route_demand``: flat routing scatters every source into one
-shared load column, while this engine hands the kernel a fresh column per
-source and retains it.  Every scatter kernel adds to each edge at most once
-per source, so summing fresh columns in a fixed source order gives the same
-bits as scattering straight into one shared column in that order.  The
+This module keeps no search or flow accumulation of its own.  Every
+re-resolution runs through the one per-source kernel of
+:mod:`repro.routing.engine`, whose other caller is flat ``route_demand``:
+both add the kernel's records into a zero column with the same helper, flat
+routing once, this engine once per step from the records it retains.  The
 engine's own job is what surrounds the kernel: the volume diff, the fresh
-summation, and (for cascades) picking the sources a trip invalidated and
-remapping retained columns into the degraded edge space.
+summation, and (for cascades) picking the sources a trip invalidated — an
+edge-id membership test, since a record holds only nonzero flows — and
+renumbering retained records into the degraded edge space.
 
-Per-source columns are deterministic functions of (source, step volumes), so
-backend parity is inherited from the engine scatter kernels: loads are
-bit-identical across backends on tie-free weights with integral volumes, and
-match a from-scratch ``route_demand`` of the step's matrix under the same
+Records are deterministic functions of (source, step volumes), so backend
+parity is inherited from the engine kernel: loads are bit-identical across
+backends on tie-free weights with integral volumes, and match a
+from-scratch ``route_demand`` of the step's matrix under the same
 conditions (compilation may orient a pair from the opposite endpoint, which
 on tie-free instances routes the identical unique shortest path).
 
@@ -62,10 +62,10 @@ order, as plain :meth:`~repro.topology.graph.Topology.remove_link` calls.
 No connectivity structure is maintained: routing already sheds demand whose
 targets became unreachable, so the cascade needs nothing beyond the
 recompiled graph.  Only the sources that carried flow on a tripped link are
-re-routed (their retained columns are the ones the removals invalidated; on
+re-routed (their retained records are the ones the removals invalidated; on
 tie-free instances every other source's unique shortest paths are
-untouched, and in ECMP mode the retained column covers *all* tied paths, so
-the nonzero-on-tripped test is exact).  Rounds iterate until no link trips;
+untouched, and in ECMP mode the retained record covers *all* tied paths, so
+the record-membership test is exact).  Rounds iterate until no link trips;
 demand whose targets become unreachable is **shed** and shows up in the
 round's ``unrouted`` column.
 
@@ -92,14 +92,14 @@ from ..topology.compiled import CompiledGraph, KERNEL_COUNTERS, have_numpy_backe
 from ..topology.graph import Topology, TopologyError
 from .engine import (
     FlowResult,
-    SourceStats,
+    SourceRoute,
+    _add_records,
     _orient_pairs,
     _pair_groups,
     _resolve_demand,
     _route_sources,
     _select_backend,
     _tally,
-    _zero_column,
 )
 from .options import RoutingOptions
 from .paths import resolve_weight
@@ -265,7 +265,7 @@ class CompiledSeries:
     order across steps, oriented once (toward the endpoint shared by more
     union pairs — the :func:`~repro.routing.engine.compile_demand` rule
     applied to the union).  One shared orientation is what makes per-source
-    columns retainable across steps: a pair that flipped orientation between
+    records retainable across steps: a pair that flipped orientation between
     steps would silently move between source groups.
 
     Attributes:
@@ -550,7 +550,7 @@ def route_series(
     if opts.method not in ("auto", "flat"):
         raise ValueError(
             f"temporal routing supports method='flat' only (the per-source "
-            f"diff needs per-source scatter), got method={opts.method!r}"
+            f"diff needs per-source flow records), got method={opts.method!r}"
         )
     compiled = _resolve_series(topology, series, endpoint_map)
     return _route_series_compiled(compiled, opts, reuse)
@@ -608,8 +608,7 @@ def _route_series_compiled(
     weights = graph.edge_weight_column(opts.weight, resolve_weight(opts.weight))
     use_numpy = _select_backend(graph, weights, opts)
     groups = _pair_groups(compiled.sources)
-    columns: Dict[int, Any] = {}
-    stats: Dict[int, SourceStats] = {}
+    routes: Dict[int, SourceRoute] = {}
     steps: List[TemporalStepResult] = []
     previous: Optional[array] = None
     sources = compiled.sources
@@ -625,21 +624,21 @@ def _route_series_compiled(
             changed = [source for source in groups if source in moved]
         KERNEL_COUNTERS.temporal_steps += 1
         KERNEL_COUNTERS.temporal_resolved_sources += len(changed)
-        _resolve(
-            graph,
-            weights,
-            opts.mode,
-            use_numpy,
-            groups,
-            compiled.targets,
-            volumes,
-            compiled.labels,
-            changed,
-            columns,
-            stats,
+        routes.update(
+            _route_sources(
+                graph,
+                weights,
+                opts.mode,
+                use_numpy,
+                groups,
+                compiled.targets,
+                volumes,
+                compiled.labels,
+                changed,
+            )
         )
         total, routed_volume, routed_pairs, unrouted = _combine(
-            graph, use_numpy, groups, columns, stats, compiled.unmatched[t]
+            graph, use_numpy, groups, routes, compiled.unmatched[t]
         )
         steps.append(
             TemporalStepResult(
@@ -657,81 +656,25 @@ def _route_series_compiled(
     return TemporalFlowResult(graph=graph, mode=opts.mode, steps=steps)
 
 
-def _resolve(
-    graph: CompiledGraph,
-    weights: Any,
-    mode: str,
-    use_numpy: bool,
-    groups: Dict[int, List[int]],
-    targets: array,
-    volumes: array,
-    labels: List[Tuple[str, str]],
-    sources: List[int],
-    columns: Dict[int, Any],
-    stats: Dict[int, SourceStats],
-) -> None:
-    """Re-route ``sources`` through the engine kernel into fresh columns.
-
-    Each source that routes any volume scatters into a new column that
-    ``columns`` retains; a source's column is ``None`` when it carries no
-    flow (all volumes zero, or every positive-volume target unreachable) —
-    the combine step treats ``None`` as an all-zero column without paying
-    the addition.
-    """
-
-    def fresh_column(source: int) -> Any:
-        columns[source] = _zero_column(graph.num_edges, use_numpy)
-        return columns[source]
-
-    for source in sources:
-        columns[source] = None
-    stats.update(
-        _route_sources(
-            graph,
-            weights,
-            mode,
-            use_numpy,
-            groups,
-            targets,
-            volumes,
-            labels,
-            sources,
-            fresh_column,
-        )
-    )
-
-
 def _combine(
     graph: CompiledGraph,
     use_numpy: bool,
     groups: Dict[int, List[int]],
-    columns: Dict[int, Any],
-    stats: Dict[int, SourceStats],
+    routes: Dict[int, SourceRoute],
     unmatched: List[Tuple[str, str, float]],
 ) -> Tuple[Any, float, int, List[Tuple[str, str, float]]]:
-    """Sum retained per-source columns into one fresh total, in group order.
+    """Add the retained per-source records into one fresh total, group order.
 
-    The fixed summation order (compile-time first-appearance source order) is
-    what makes step loads history-independent: the total is a pure function
-    of the per-source columns, never of which sources were re-resolved when.
-    Both backends add source columns in the identical element-wise sequence,
-    so backend parity reduces to per-source column parity.
+    The fixed order (compile-time first-appearance source order) is what
+    makes step loads history-independent: the total is a pure function of
+    the retained records, never of which sources were re-resolved when.
+    Each record names an edge at most once, so every edge receives its
+    sources' flows one addition each, in the same order on both backends,
+    and backend parity reduces to per-source record parity.
     """
-    num_edges = graph.num_edges
-    total = _zero_column(num_edges, use_numpy)
-    routed_volume, routed_pairs, unrouted = _tally(
-        (stats[source] for source in groups), unmatched
-    )
-    for source in groups:
-        column = columns[source]
-        if column is None:
-            continue
-        if use_numpy:
-            total += column
-        else:
-            for e in range(num_edges):
-                total[e] += column[e]
-    return total, routed_volume, routed_pairs, unrouted
+    ordered = [routes[source] for source in groups]
+    total = _add_records(graph.num_edges, use_numpy, ordered)
+    return (total, *_tally(ordered, unmatched))
 
 
 # ----------------------------------------------------------------------
@@ -752,8 +695,9 @@ def failure_cascade(
 ) -> CascadeResult:
     """Iterate route → overload → trip → re-route to a fixed point.
 
-    Each round routes the full demand (retained per-source columns — only
-    the sources whose flow crossed a tripped link are re-routed), trips every
+    Each round routes the full demand (retained per-source flow records —
+    only the sources whose record names a tripped link are re-routed, the
+    rest are renumbered into the degraded edge space), trips every
     link whose load exceeds ``capacity * (1 + headroom)`` in ascending edge
     order, removes the batch with :meth:`Topology.remove_link` (no
     connectivity upkeep: routing sheds unreachable demand on its own), and
@@ -789,7 +733,7 @@ def failure_cascade(
     if opts.method not in ("auto", "flat"):
         raise ValueError(
             f"failure_cascade supports method='flat' only (the per-source "
-            f"diff needs per-source scatter), got method={opts.method!r}"
+            f"diff needs per-source flow records), got method={opts.method!r}"
         )
     if headroom < 0:
         raise ValueError(f"headroom must be non-negative, got {headroom}")
@@ -806,8 +750,7 @@ def failure_cascade(
     removed: List[Any] = []
     graph = compiled.graph
     groups = _pair_groups(compiled.sources)
-    columns: Dict[int, Any] = {}
-    stats: Dict[int, SourceStats] = {}
+    routes: Dict[int, SourceRoute] = {}
     unmatched = [
         (a, b, volume)
         for a, b, volume in compiled.unmatched
@@ -824,21 +767,21 @@ def failure_cascade(
             use_numpy = _select_backend(graph, weights, opts)
             KERNEL_COUNTERS.temporal_steps += 1
             KERNEL_COUNTERS.temporal_resolved_sources += len(to_resolve)
-            _resolve(
-                graph,
-                weights,
-                opts.mode,
-                use_numpy,
-                groups,
-                compiled.targets,
-                compiled.volumes,
-                compiled.labels,
-                to_resolve,
-                columns,
-                stats,
+            routes.update(
+                _route_sources(
+                    graph,
+                    weights,
+                    opts.mode,
+                    use_numpy,
+                    groups,
+                    compiled.targets,
+                    compiled.volumes,
+                    compiled.labels,
+                    to_resolve,
+                )
             )
             total, routed_volume, routed_pairs, unrouted = _combine(
-                graph, use_numpy, groups, columns, stats, unmatched
+                graph, use_numpy, groups, routes, unmatched
             )
             capacities = [link.capacity for link in graph.links]
             tripped_edges = [
@@ -872,9 +815,9 @@ def failure_cascade(
             # re-routed.  Pinned in single-path mode on both backends, on
             # unit-length grids where every path ties: each round's loads
             # equal a from-scratch route of the degraded topology bit for bit.
-            to_resolve = _affected_sources(groups, columns, tripped_edges)
+            to_resolve = _affected_sources(groups, routes, tripped_edges)
             new_graph = topology.compiled()
-            _remap_columns(columns, graph, new_graph, skip=set(to_resolve))
+            _remap_records(routes, graph, new_graph, skip=set(to_resolve))
             graph = new_graph
     finally:
         if restore:
@@ -890,44 +833,38 @@ def failure_cascade(
 
 def _affected_sources(
     groups: Dict[int, List[int]],
-    columns: Dict[int, Any],
+    routes: Dict[int, SourceRoute],
     tripped_edges: List[int],
 ) -> List[int]:
-    """Sources with nonzero retained flow on any tripped edge, group order."""
-    affected = []
-    for source in groups:
-        column = columns[source]
-        if column is None:
-            continue
-        if any(column[e] != 0.0 for e in tripped_edges):
-            affected.append(source)
-    return affected
+    """Sources whose retained record names a tripped edge, in group order.
+
+    A record holds only nonzero flows, so naming an edge is carrying flow on
+    it.
+    """
+    tripped = set(tripped_edges)
+    return [source for source in groups if not tripped.isdisjoint(routes[source][3][0])]
 
 
-def _remap_columns(
-    columns: Dict[int, Any],
+def _remap_records(
+    routes: Dict[int, SourceRoute],
     old_graph: CompiledGraph,
     new_graph: CompiledGraph,
     skip: set,
 ) -> None:
-    """Gather retained columns from the old edge space into the new one.
+    """Renumber retained records' edge ids from the old edge space to the new.
 
-    Link removal preserves the relative order of surviving links, so the new
-    edge list is a subsequence of the old one; the gather is a pure bit-copy
-    (loads keep their exact float values).  Sources in ``skip`` are about to
-    be re-resolved and need no remap.
+    Only sources in ``skip`` (about to be re-resolved) can name a removed
+    edge, and they are left alone; every other record keeps its flows
+    bit for bit and only its ids move.
     """
-    old_index = {key: e for e, key in enumerate(old_graph.edge_keys)}
-    new_keys = new_graph.edge_keys
-    gather = [old_index[key] for key in new_keys]
-    use_numpy_gather = _np is not None
-    gather_array = (
-        _np.asarray(gather, dtype=_np.int64) if use_numpy_gather else None
-    )
-    for source, column in columns.items():
-        if column is None or source in skip:
+    new_index = {key: e for e, key in enumerate(new_graph.edge_keys)}
+    renumber = [new_index.get(key, -1) for key in old_graph.edge_keys]
+    renumber_array = _np.asarray(renumber, dtype=_np.int64) if _np is not None else None
+    for source, (volume, pairs, unrouted, (ids, flows)) in routes.items():
+        if source in skip:
             continue
-        if use_numpy_gather and isinstance(column, _np.ndarray):
-            columns[source] = column[gather_array]
+        if isinstance(ids, list):
+            ids = [renumber[e] for e in ids]
         else:
-            columns[source] = array("d", (column[e] for e in gather))
+            ids = renumber_array[ids]
+        routes[source] = (volume, pairs, unrouted, (ids, flows))

@@ -608,9 +608,9 @@ class CompiledGraph:
         """Undirected edge id per ``(tails[i], heads[i])`` adjacent pair.
 
         Vectorized half-edge lookup over a sorted ``(row, col)`` key table
-        built once per snapshot; used by the numpy traffic scatter to resolve
-        predecessor edges from a predecessor node array.  Requires numpy; all
-        pairs must be existing adjacencies.
+        built once per snapshot; used by the numpy traffic engine to resolve
+        the predecessor edges of a path union from predecessor node arrays.
+        Requires numpy; all pairs must be existing adjacencies.
         """
         lookup = self._edge_lookup
         if lookup is None:

@@ -8,10 +8,27 @@ from repro.economics.cables import default_catalog
 from repro.economics.provisioning import provision_topology
 from repro.geography.demand import DemandMatrix
 from repro.routing.assignment import assign_demand
-from repro.routing.engine import compile_demand, route_demand
+from repro.routing.engine import (
+    _pair_groups,
+    _path_union,
+    _route_sources,
+    compile_demand,
+    route_demand,
+)
+from repro.routing.paths import resolve_weight
 from repro.routing.utilization import utilization_report
-from repro.topology.compiled import KERNEL_COUNTERS
+from repro.topology.compiled import KERNEL_COUNTERS, dijkstra_indices, have_numpy_backend
 from repro.topology.graph import Topology
+
+BACKENDS = [
+    "python",
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(
+            not have_numpy_backend(), reason="numpy/scipy backend unavailable or masked"
+        ),
+    ),
+]
 
 
 def line_topology() -> Topology:
@@ -250,3 +267,141 @@ class TestArrayBoundary:
             provision_topology(topo, default_catalog(), flow=WrongLength([1.0]))
         with pytest.raises(ValueError):
             utilization_report(topo, flow=WrongLength([1.0, 2.0, 3.0]))
+
+
+class PairList:
+    """A bare ``pairs()`` demand: unlike DemandMatrix it may carry zero volumes."""
+
+    def __init__(self, pairs):
+        self._pairs = pairs
+
+    def pairs(self):
+        return iter(self._pairs)
+
+
+class CountingPred(list):
+    """A predecessor list that counts its element reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def record_case():
+    """Tied hop paths, non-integral and zero volumes, an unreachable target,
+    two endpoints that ``endpoint_map`` sends to one node, and a subnormal
+    volume split over a separate square, where each ECMP share rounds to
+    zero."""
+    rng = random.Random(11)
+    topo = grid_topology(4)
+    topo.add_node("island")
+    for name in ("q0", "q1", "q2", "q3"):
+        topo.add_node(name)
+    for a, b in [("q0", "q1"), ("q1", "q3"), ("q0", "q2"), ("q2", "q3")]:
+        topo.add_link(a, b)
+    endpoint_map = {f"g{x}{y}": (x, y) for x in range(4) for y in range(4)}
+    endpoint_map["twin"] = (1, 2)
+    names = sorted(endpoint_map)
+    pairs = []
+    for _ in range(40):
+        a, b = rng.sample(names, 2)
+        if endpoint_map[a] != endpoint_map[b]:
+            pairs.append((a, b, round(rng.uniform(0.1, 9.0), 3)))
+    pairs += [("g00", "g33", 0.0), ("g21", "g03", 0.0), ("g11", "island", 2.5)]
+    pairs.append(("q0", "q3", 5e-324))
+    pairs.append(("g12", "twin", 1.75))
+    return compile_demand(topo, PairList(pairs), endpoint_map)
+
+
+def routes_of(compiled, mode, backend):
+    graph = compiled.graph
+    groups = _pair_groups(compiled.sources)
+    return _route_sources(
+        graph,
+        graph.edge_weight_column("hops", resolve_weight("hops")),
+        mode,
+        backend == "numpy",
+        groups,
+        compiled.targets,
+        compiled.volumes,
+        compiled.labels,
+        list(groups),
+    )
+
+
+class TestSourceRecords:
+    @pytest.mark.parametrize("mode", ["single", "ecmp"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_each_edge_at_most_once_with_nonzero_flow(self, mode, backend):
+        compiled = record_case()
+        for *_, (ids, flows) in routes_of(compiled, mode, backend).values():
+            ids = list(ids)
+            assert len(ids) == len(set(ids))
+            assert len(flows) == len(ids)
+            assert all(flow != 0.0 for flow in flows)
+
+    @pytest.mark.parametrize("mode", ["single", "ecmp"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_records_sum_to_route_demand_bit_for_bit(self, mode, backend):
+        compiled = record_case()
+        column = [0.0] * compiled.graph.num_edges
+        for *_, (ids, flows) in routes_of(compiled, mode, backend).values():
+            for e, flow in zip(ids, flows):
+                column[e] += flow
+        flow = route_demand(compiled, weight="hops", mode=mode, backend=backend)
+        assert column == flow.loads_list()
+        assert flow.unrouted == [("g11", "island", 2.5)]
+        # 40 sampled pairs minus self-mapped ones, plus the twin pair.
+        positive = sum(1 for volume in compiled.volumes if volume > 0.0)
+        assert flow.routed_pairs == positive - 1
+
+    @pytest.mark.parametrize("mode", ["single", "ecmp"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_pair_compiled_onto_one_node_routes_without_load(self, mode, backend):
+        topo = grid_topology(4)
+        compiled = compile_demand(
+            topo, PairList([("a", "b", 1.75)]), {"a": (1, 2), "b": (1, 2)}
+        )
+        routes = routes_of(compiled, mode, backend)
+        assert [(v, p, u, list(r[0])) for v, p, u, r in routes.values()] == [
+            (1.75, 1, [], [])
+        ]
+        flow = route_demand(compiled, weight="hops", mode=mode, backend=backend)
+        assert flow.routed_pairs == 1
+        assert flow.routed_volume == 1.75
+        assert flow.max_load() == 0.0
+
+
+class TestPathUnion:
+    def test_lollipop_tail_is_never_entered(self):
+        """Source, one adjacent target, and a 5,000-node tail off the source."""
+        topo = Topology()
+        topo.add_node("s")
+        topo.add_node("t")
+        topo.add_link("s", "t")
+        previous = "s"
+        for i in range(5000):
+            topo.add_node(i)
+            topo.add_link(previous, i)
+            previous = i
+        graph = topo.compiled()
+        source, target = graph.index_of["s"], graph.index_of["t"]
+        _dist, pred, _pred_edge = dijkstra_indices(
+            graph, source, graph.edge_weight_column("hops", resolve_weight("hops"))
+        )
+        pred = CountingPred(pred)
+        levels = _path_union(source, pred, [target])
+        assert levels == [[target]]
+        assert 1 + sum(len(level) for level in levels) == 2
+        assert pred.reads == 1
+
+    def test_each_node_entered_once_when_every_node_is_a_target(self):
+        n = 2000
+        pred = CountingPred([-1] + list(range(n - 1)))
+        targets = list(range(1, n))
+        random.Random(3).shuffle(targets)
+        levels = _path_union(0, pred, targets + targets)
+        assert levels == [[v] for v in range(1, n)]
+        assert pred.reads == n - 1
