@@ -16,14 +16,7 @@ orders of magnitude past the E8 sweep.  This benchmark:
    endpoint mesh, and gates the speedup (>=5x full, >=1.5x smoke) with
    **bit-identical** link-load vectors: Euclidean lengths make shortest
    paths unique almost surely and integral volumes make per-edge sums exact
-   in floating point regardless of accumulation order;
-4. times the hierarchical overlay engine against flat batch routing on a
-   many-source instance (n=10^5 with 1024 endpoints full — >=512 unique
-   sources as the acceptance shape demands — n=5k/96 smoke), splitting
-   overlay build from the routing pass, and gates the *cold* speedup
-   (build + route vs flat route: >=5x full, >=1.5x smoke) with the same
-   bit-identical load gate — tie-free weights plus integral volumes mean
-   the overlay joins must reproduce flat loads exactly, not approximately.
+   in floating point regardless of accumulation order.
 
 The script *requires* the numpy/scipy backend — a missing scipy fails
 loudly rather than timing the pure-Python fallback against itself (the
@@ -51,8 +44,6 @@ from repro.experiments.runner import peak_rss_kb, run_experiment
 from repro.experiments.suites.e12_scaling_tier import gravity_matrix
 from repro.geography.demand import DemandMatrix
 from repro.routing.engine import route_demand
-from repro.routing.hierarchical import overlay_for
-from repro.routing.paths import resolve_weight
 from repro.topology.compiled import KERNEL_COUNTERS, have_numpy_backend
 from repro.workloads.scenarios import scenario_for
 
@@ -66,15 +57,6 @@ COMPARE_NUM_ENDPOINTS = 64
 SMOKE_COMPARE_NUM_ENDPOINTS = 24
 SPEEDUP_FLOOR = 5.0
 SMOKE_SPEEDUP_FLOOR = 1.5
-
-#: Hierarchical-vs-flat instance: the acceptance shape is n=10^5 with >=512
-#: unique sources; 1024 endpoints in a full mesh give 1023 unique sources.
-HIER_NUM_NODES = 100_000
-SMOKE_HIER_NUM_NODES = 5_000
-HIER_NUM_ENDPOINTS = 1_024
-SMOKE_HIER_NUM_ENDPOINTS = 96
-HIER_SPEEDUP_FLOOR = 5.0
-SMOKE_HIER_SPEEDUP_FLOOR = 1.5
 
 #: The million-node route must complete in seconds, not minutes.
 ROUTE_SECONDS_CEILING = 120.0
@@ -135,59 +117,6 @@ def time_backends(num_nodes: int, num_endpoints: int, seed: int):
     }
 
 
-def time_hierarchical(num_nodes: int, num_endpoints: int, seed: int):
-    """Time flat vs hierarchical routing; assert bit-identical loads.
-
-    The overlay build is timed separately from the routing pass: the build
-    amortizes across route calls on the same compiled snapshot (it is cached
-    by weight name), so the *warm* speedup is what repeated-routing loops
-    see, while the *cold* speedup (build + route) is the conservative
-    single-shot figure the acceptance floor gates.
-    """
-    topology, compiled = build_compare_instance(num_nodes, num_endpoints, seed)
-    graph = topology.compiled()  # compile outside every measured window
-
-    t_flat, flow_flat = timed(
-        lambda: route_demand(compiled, backend="numpy", method="flat")
-    )
-
-    weights = graph.edge_weight_column(None, resolve_weight(None))
-    KERNEL_COUNTERS.reset()
-    t_overlay, overlay = timed(
-        lambda: overlay_for(graph, None, weights, backend="numpy")
-    )
-    t_hier, flow_hier = timed(
-        lambda: route_demand(compiled, backend="numpy", method="hierarchical")
-    )
-    counters = KERNEL_COUNTERS.snapshot()
-
-    # The overlay path must actually engage: one build (the route call hits
-    # the cache), every pair answered by a table join, regions swept.
-    assert counters["hier_overlay_builds"] == 1
-    assert counters["hier_table_joins"] == compiled.num_pairs
-    assert counters["hier_region_sweeps"] >= 1
-    assert not flow_hier.unrouted and not flow_flat.unrouted
-    assert flow_hier.loads_list() == flow_flat.loads_list(), (
-        "hierarchical edge-load vector diverged from flat routing "
-        "(integral volumes on tie-free weights: loads must be bit-identical)"
-    )
-    stats = overlay.stats()
-    return {
-        "nodes": num_nodes,
-        "pairs": compiled.num_pairs,
-        "unique_sources": len(set(compiled.sources)),
-        "overlay_nodes": stats["overlay_nodes"],
-        "overlay_regions": stats["regions"],
-        "region_sweeps": counters["hier_region_sweeps"],
-        "flat_seconds": t_flat,
-        "overlay_seconds": t_overlay,
-        "hier_seconds": t_hier,
-        "warm_speedup": t_flat / t_hier,
-        "cold_speedup": t_flat / (t_overlay + t_hier),
-        "bit_identical_loads": True,
-    }
-
-
 def time_scale_phases(sizes, num_endpoints: int, total_volume: float, seed: int):
     """Per-phase wall-clock and peak RSS of the full pipeline at each size.
 
@@ -240,16 +169,10 @@ def run_benchmark(smoke: bool = False):
         SMOKE_COMPARE_NUM_ENDPOINTS if smoke else COMPARE_NUM_ENDPOINTS,
         SEED,
     )
-    hierarchical = time_hierarchical(
-        SMOKE_HIER_NUM_NODES if smoke else HIER_NUM_NODES,
-        SMOKE_HIER_NUM_ENDPOINTS if smoke else HIER_NUM_ENDPOINTS,
-        SEED,
-    )
     return {
         "mode": "smoke" if smoke else "full",
         "scale": scale,
         "backends": compare,
-        "hierarchical": hierarchical,
     }
 
 
@@ -261,17 +184,7 @@ def check_acceptance(results, smoke: bool = False):
         f"n={compare['nodes']} under the {floor}x floor"
     )
     assert compare["bit_identical_loads"]
-    hier_floor = SMOKE_HIER_SPEEDUP_FLOOR if smoke else HIER_SPEEDUP_FLOOR
-    hierarchical = results["hierarchical"]
-    assert hierarchical["cold_speedup"] >= hier_floor, (
-        f"hierarchical routing cold speedup {hierarchical['cold_speedup']:.1f}x "
-        f"at n={hierarchical['nodes']} under the {hier_floor}x floor"
-    )
-    assert hierarchical["bit_identical_loads"]
     if not smoke:
-        assert hierarchical["unique_sources"] >= 512, (
-            "acceptance shape demands >=512 unique sources at the full size"
-        )
         largest = max(results["scale"], key=lambda row: row["size"])
         assert largest["route_seconds"] <= ROUTE_SECONDS_CEILING, (
             f"n={largest['size']} route took {largest['route_seconds']:.1f}s "
@@ -311,15 +224,6 @@ def main(smoke: bool = False, jobs: int = 1, force: bool = False):
             "route_s": round(results["backends"]["numpy_seconds"], 3),
             "provision_s": "-",
             "peak_rss_mb": f"{results['backends']['speedup']:.1f}x vs python",
-        },
-        {
-            "size": results["hierarchical"]["nodes"],
-            "edges": "(hierarchical)",
-            "generate_s": "-",
-            "compile_s": round(results["hierarchical"]["overlay_seconds"], 3),
-            "route_s": round(results["hierarchical"]["hier_seconds"], 3),
-            "provision_s": "-",
-            "peak_rss_mb": f"{results['hierarchical']['cold_speedup']:.1f}x vs flat",
         },
     ]
     emit_rows("E12", "million-node scale tier (phase timings)", rows, slug="scaling_tier")

@@ -25,22 +25,16 @@ identity), and the ≥5x numpy-vs-python floor lives in
   gravity volumes are floats, so loads must agree within 1e-9 relative
   tolerance (Euclidean weights make shortest paths unique almost surely, so
   the comparison is tie-free; the tie caveat lives with E11).
-* **the hierarchical many-source point** — a dedicated task routes the
-  *full* gravity matrix over ``hier_endpoints`` population centers (1024
-  full, so >=1000 unique sources at n=10^5) through the overlay engine
-  (``method="hierarchical"``) and re-routes it flat as the equivalence gate:
-  loads agree within the same 1e-9 relative tolerance, the overlay counters
-  (``hier_overlay_builds``/``hier_region_sweeps``/``hier_table_joins``)
-  prove the table-join path engaged, and ``searches == 0`` proves no
-  per-source fallback.  The ≥5x hierarchical-vs-flat floor lives in
-  ``benchmarks/bench_scaling_tier.py``.
+* **the many-source point** — a dedicated task routes the *full* gravity
+  matrix over ``many_source_endpoints`` population centers (1024 full, so
+  >=1000 unique sources at n=10^5) under the same flat gates as every other
+  row; the check asserts the point is still present.
 * the tree is connected: every compiled pair routes, and provisioning from
   the edge column leaves no overloaded link.
 
 Every row also records the hierarchy shape it routes over
-(:func:`~repro.topology.hierarchy.summarize_hierarchy` aggregates; the
-hierarchical row adds the overlay partition stats), so the scale tier
-documents the core/region structure behind the routing claims.
+(:func:`~repro.topology.hierarchy.summarize_hierarchy` aggregates), so the
+scale tier documents the core/access structure behind the routing claims.
 
 Payload floats are rounded aggregates of float accumulations, so unlike
 E1–E11 they are backend-*dependent* in principle (numpy sums associate
@@ -61,9 +55,6 @@ from ...economics.provisioning import provision_topology
 from ...geography.demand import gravity_demand
 from ...geography.population import City
 from ...routing.engine import route_demand
-from ...routing.hierarchical import overlay_for
-from ...routing.options import RoutingOptions
-from ...routing.paths import resolve_weight
 from ...routing.utilization import utilization_report
 from ...topology.compiled import KERNEL_COUNTERS, have_numpy_backend
 from ...topology.hierarchy import summarize_hierarchy
@@ -81,34 +72,23 @@ PARITY_RTOL = 1e-9
 def expand(smoke: bool) -> List[Task]:
     scenario = scenario_for(SCENARIO_ID, smoke)
     params = scenario.parameters
+    shapes = [(size, params["num_endpoints"]) for size in params["sizes"]]
+    # The many-source point: the FULL gravity matrix over
+    # many_source_endpoints population centers, so flat routing pays one
+    # search per unique source for >=1000 sources at the full size.
+    shapes.append((params["many_source_size"], params["many_source_endpoints"]))
     points: List[Dict[str, object]] = [
         {
             "size": size,
             "alpha": params["alpha"],
-            "num_endpoints": params["num_endpoints"],
+            "num_endpoints": num_endpoints,
             "total_volume": params["total_volume"],
             "parity_max_size": params["parity_max_size"],
             "seed": params["seed"],
             "routing": "flat",
         }
-        for size in params["sizes"]
+        for size, num_endpoints in shapes
     ]
-    # The many-source point: the FULL gravity matrix over hier_endpoints
-    # population centers, routed through the hierarchical overlay with a
-    # flat-equivalence gate.  Flat routing pays one search per unique source
-    # here (>=1000 at the full size) — exactly the workload the overlay
-    # exists for.
-    points.append(
-        {
-            "size": params["hier_size"],
-            "alpha": params["alpha"],
-            "num_endpoints": params["hier_endpoints"],
-            "total_volume": params["total_volume"],
-            "parity_max_size": params["parity_max_size"],
-            "seed": params["seed"],
-            "routing": "hierarchical",
-        }
-    )
     return expand_points(SCENARIO_ID, params["seed"], points)
 
 
@@ -136,7 +116,6 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
     # same random stream family and reruns are cache-stable.
     size = int(point["size"])
     base_seed = int(point["seed"])
-    routing = str(point.get("routing", "flat"))
     topology = generate_fkp_tree(size, float(point["alpha"]), seed=base_seed)
     graph = topology.compiled()
     matrix = gravity_matrix(
@@ -150,25 +129,16 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
     unique_sources = len(set(compiled.sources))
 
     backend = "numpy" if have_numpy_backend() else "python"
-    method = "hierarchical" if routing == "hierarchical" else "flat"
     before = KERNEL_COUNTERS.snapshot()
-    flow = route_demand(
-        compiled, options=RoutingOptions(method=method, backend=backend)
-    )
+    flow = route_demand(compiled, backend=backend)
     after = KERNEL_COUNTERS.snapshot()
 
-    # The equivalence gate: the hierarchical row *always* re-routes flat and
-    # compares (that is the point of the row); flat rows cross-check the
-    # python reference backend at sizes where it is affordable.
-    parity_checked = False
+    # Cross-check the python reference backend at sizes where it is
+    # affordable.
+    parity_checked = backend == "numpy" and size <= int(point["parity_max_size"])
     parity_max_abs_diff = 0.0
-    if routing == "hierarchical":
-        reference = route_demand(compiled, backend=backend, method="flat")
-        parity_checked = True
-    elif backend == "numpy" and size <= int(point["parity_max_size"]):
-        reference = route_demand(compiled, backend="python")
-        parity_checked = True
     if parity_checked:
+        reference = route_demand(compiled, backend="python")
         loads = flow.loads_list()
         reference_loads = reference.loads_list()
         parity_max_abs_diff = max(
@@ -183,7 +153,7 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
         "size": size,
         "num_edges": graph.num_edges,
         "backend": backend,
-        "routing": routing,
+        "routing": point["routing"],
         "endpoints": int(point["num_endpoints"]),
         "pairs": compiled.num_pairs,
         "unique_sources": unique_sources,
@@ -199,33 +169,13 @@ def run_point(point: Mapping[str, object], seed: int) -> Dict[str, object]:
         "mean_utilization": round(float(utilization.mean_utilization), 4),
         "overloaded_links": len(utilization.overloaded_links),
         "install_cost": round(float(report.total_install_cost), 1),
-        # The hierarchy shape the row routes over (satellite of the overlay
-        # engine: the scale tier documents its core/region structure).
+        # The hierarchy shape the row routes over.
         "level_counts": dict(summary.level_counts),
         "backbone_fraction": round(float(summary.backbone_fraction), 6),
         "intra_level_links": summary.intra_level_links,
         "inter_level_links": summary.inter_level_links,
         "mean_customer_depth": None if isnan(depth) else round(float(depth), 4),
     }
-    if routing == "hierarchical":
-        payload.update(
-            {
-                "hier_overlay_builds": after["hier_overlay_builds"]
-                - before["hier_overlay_builds"],
-                "hier_region_sweeps": after["hier_region_sweeps"]
-                - before["hier_region_sweeps"],
-                "hier_joins": after["hier_table_joins"] - before["hier_table_joins"],
-            }
-        )
-        overlay = overlay_for(
-            graph,
-            None,
-            graph.edge_weight_column(None, resolve_weight(None)),
-            backend=backend,
-        )
-        payload.update(
-            {f"overlay_{key}": value for key, value in overlay.stats().items()}
-        )
     return payload
 
 
@@ -236,8 +186,15 @@ def aggregate(records: List[TaskRecord]) -> Tables:
 def check(tables: Tables, smoke: bool) -> None:
     rows = tables["main"]
     assert rows, "E12 expanded no tasks"
-    hier_rows = [row for row in rows if row["routing"] == "hierarchical"]
-    assert hier_rows, "E12 lost its hierarchical many-source point"
+    params = scenario_for(SCENARIO_ID, smoke).parameters
+    # The many-source shape: the full matrix over the sampled endpoints (all
+    # but one endpoint appear as sources).
+    assert any(
+        row["size"] == params["many_source_size"]
+        and row["endpoints"] == params["many_source_endpoints"]
+        and row["unique_sources"] >= row["endpoints"] - 1
+        for row in rows
+    ), "E12 lost its many-source point"
     for row in rows:
         # The FKP tree is connected: every compiled pair routes.
         assert row["assigned_pairs"] == row["pairs"], row
@@ -245,27 +202,13 @@ def check(tables: Tables, smoke: bool) -> None:
         # Provisioning from the engine's edge column covers every load.
         assert row["overloaded_links"] == 0, row
         assert row["install_cost"] > 0, row
-        if row["routing"] == "hierarchical":
-            # Every pair answered through the overlay tables, no per-source
-            # search fallback, and the overlay actually built and swept.
-            assert row["searches"] == 0, row
-            assert row["hier_joins"] == row["pairs"], row
-            assert row["hier_overlay_builds"] >= 1, row
-            assert row["hier_region_sweeps"] >= 1, row
-            assert row["overlay_regions"] >= 1, row
-            # The many-source shape: the full matrix over the sampled
-            # endpoints (all but one endpoint appear as sources).
-            assert row["unique_sources"] >= row["endpoints"] - 1, row
-            # The equivalence gate vs flat routing always runs on this row.
-            assert row["parity_checked"], row
-        else:
-            # One shortest-path search per unique demand source.
-            assert row["searches"] == row["unique_sources"], row
-            if row["backend"] == "numpy":
-                # The batch path must actually engage — a silent fallback to
-                # the per-source slow path would pass slowly, not fail.
-                assert row["batch_calls"] >= 1, row
-                assert row["batch_sources"] >= row["unique_sources"], row
+        # One shortest-path search per unique demand source.
+        assert row["searches"] == row["unique_sources"], row
+        if row["backend"] == "numpy":
+            # The batch path must actually engage — a silent fallback to
+            # the per-source slow path would pass slowly, not fail.
+            assert row["batch_calls"] >= 1, row
+            assert row["batch_sources"] >= row["unique_sources"], row
         if row["parity_checked"]:
             scale = max(1.0, row["max_load"])
             assert row["parity_max_abs_diff"] <= PARITY_RTOL * scale, row

@@ -10,13 +10,12 @@ the reference implementations.
 :mod:`repro.routing.temporal` extends it along the time axis
 (:func:`route_series` diff-routes a :class:`DemandSeries`,
 :func:`failure_cascade` iterates overload trips to a fixed point), with
-:class:`RoutingOptions` carrying the shared weight/mode/method/backend
+:class:`RoutingOptions` carrying the shared weight/mode/backend
 vocabulary across all entry points.
 """
 
 from .options import (
     ROUTING_BACKENDS,
-    ROUTING_METHODS,
     ROUTING_MODES,
     RoutingOptions,
 )
@@ -33,13 +32,6 @@ from .engine import (
     FlowResult,
     compile_demand,
     route_demand,
-)
-from .hierarchical import (
-    HierarchicalOverlay,
-    OverlayTooLarge,
-    build_overlay,
-    overlay_for,
-    route_demand_hierarchical,
 )
 from .temporal import (
     CascadeResult,
@@ -69,7 +61,6 @@ from .utilization import (
 
 __all__ = [
     "ROUTING_BACKENDS",
-    "ROUTING_METHODS",
     "ROUTING_MODES",
     "RoutingOptions",
     "CascadeResult",
@@ -93,11 +84,6 @@ __all__ = [
     "FlowResult",
     "compile_demand",
     "route_demand",
-    "HierarchicalOverlay",
-    "OverlayTooLarge",
-    "build_overlay",
-    "overlay_for",
-    "route_demand_hierarchical",
     "AssignmentResult",
     "assign_demand",
     "route_customer_demand_to_core",

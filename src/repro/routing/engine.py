@@ -339,7 +339,6 @@ def route_demand(
     weight: Optional[str] = None,
     mode: Optional[str] = None,
     backend: Optional[str] = None,
-    method: Optional[str] = None,
     *,
     options: Optional[RoutingOptions] = None,
     endpoint_map: Optional[Dict[str, Any]] = None,
@@ -373,12 +372,6 @@ def route_demand(
       ``csgraph`` searches + vectorized flow records; requires scipy and strictly
       positive weights), or ``"auto"``.  See the module docstring for the
       backend equivalence contract.
-    * ``method``: ``"flat"`` (one search per unique source — the engine in
-      this module), ``"hierarchical"`` (overlay table joins — see
-      :mod:`repro.routing.hierarchical`; single-path mode and strictly
-      positive weights only), or ``"auto"``, which picks hierarchical for
-      many-source single-path demand on large graphs whose overlay mesh fits
-      the budget, and flat otherwise.
 
     Returns:
         A :class:`FlowResult` whose ``edge_loads`` column is aligned with
@@ -386,9 +379,7 @@ def route_demand(
         or pass the result to ``utilization_report`` / ``load_concentration``
         / ``provision_topology`` directly.
     """
-    opts = RoutingOptions.normalize(
-        options, weight=weight, mode=mode, method=method, backend=backend
-    )
+    opts = RoutingOptions.normalize(options, weight=weight, mode=mode, backend=backend)
     return _route_compiled(_resolve_demand(topology, demand, endpoint_map), opts)
 
 
@@ -439,55 +430,10 @@ def _resolve_demand(
 
 def _route_compiled(demand: CompiledDemand, opts: RoutingOptions) -> FlowResult:
     """Route a compiled demand under validated options (the engine proper)."""
-    weight, mode, method, backend = opts.weight, opts.mode, opts.method, opts.backend
     graph = demand.graph
-    weights = graph.edge_weight_column(weight, resolve_weight(weight))
+    weights = graph.edge_weight_column(opts.weight, resolve_weight(opts.weight))
     use_numpy = _select_backend(graph, weights, opts)
-    if method == "hierarchical":
-        from .hierarchical import route_demand_hierarchical
-
-        return route_demand_hierarchical(
-            demand, weight=weight, mode=mode, backend=backend
-        )
-    if method == "auto" and mode == "single" and _auto_hierarchical(demand, weights):
-        from .hierarchical import (
-            AUTO_MESH_CELLS,
-            OverlayTooLarge,
-            route_demand_hierarchical,
-        )
-
-        try:
-            return route_demand_hierarchical(
-                demand,
-                weight=weight,
-                mode=mode,
-                backend=backend,
-                mesh_cap=AUTO_MESH_CELLS,
-            )
-        except OverlayTooLarge:
-            pass  # mesh over budget: flat batched routing wins this shape
-    return _route_flat(demand, weights, mode, use_numpy)
-
-
-def _auto_hierarchical(demand: CompiledDemand, weights: Any) -> bool:
-    """Whether ``method="auto"`` should even consider the overlay path.
-
-    Hierarchical routing pays an overlay build; it wins when many unique
-    sources would each cost a full-graph search on a large graph.  Thresholds
-    live in :mod:`repro.routing.hierarchical` (imported lazily — the engine
-    is also the overlay's scatter substrate); the overlay needs strictly
-    positive weights.
-    """
-    graph = demand.graph
-    if graph.num_edges == 0:
-        return False
-    from .hierarchical import AUTO_MIN_NODES, AUTO_MIN_UNIQUE_SOURCES
-
-    if graph.num_nodes < AUTO_MIN_NODES:
-        return False
-    if len(set(demand.sources)) < AUTO_MIN_UNIQUE_SOURCES:
-        return False
-    return _column_min(weights) > 0
+    return _route_flat(demand, weights, opts.mode, use_numpy)
 
 
 def _select_backend(graph: CompiledGraph, weights: Any, opts: RoutingOptions) -> bool:

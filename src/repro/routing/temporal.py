@@ -537,21 +537,13 @@ def route_series(
     topology, validated against the current snapshot).
 
     Switches follow the façade vocabulary
-    (:class:`~repro.routing.options.RoutingOptions`); the temporal engine is
-    a flat-engine consumer, so ``method`` must be ``"auto"`` or ``"flat"``.
+    (:class:`~repro.routing.options.RoutingOptions`).
     ``reuse=False`` disables the diff and re-resolves every source at every
     step — bit-identical to the diff path by the fresh-summation contract
     (see the module docstring), which is exactly what the benchmark and the
     property tests gate.
     """
-    opts = RoutingOptions.normalize(
-        options, weight=weight, mode=mode, method=None, backend=backend
-    )
-    if opts.method not in ("auto", "flat"):
-        raise ValueError(
-            f"temporal routing supports method='flat' only (the per-source "
-            f"diff needs per-source flow records), got method={opts.method!r}"
-        )
+    opts = RoutingOptions.normalize(options, weight=weight, mode=mode, backend=backend)
     compiled = _resolve_series(topology, series, endpoint_map)
     return _route_series_compiled(compiled, opts, reuse)
 
@@ -727,14 +719,7 @@ def failure_cascade(
         A :class:`CascadeResult`; ``rounds[-1].flow`` is the fixed-point
         flow and ``served_fraction`` the survivability summary.
     """
-    opts = RoutingOptions.normalize(
-        options, weight=weight, mode=mode, method=None, backend=backend
-    )
-    if opts.method not in ("auto", "flat"):
-        raise ValueError(
-            f"failure_cascade supports method='flat' only (the per-source "
-            f"diff needs per-source flow records), got method={opts.method!r}"
-        )
+    opts = RoutingOptions.normalize(options, weight=weight, mode=mode, backend=backend)
     if headroom < 0:
         raise ValueError(f"headroom must be non-negative, got {headroom}")
     if max_rounds is not None and max_rounds < 1:

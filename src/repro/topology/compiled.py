@@ -183,13 +183,12 @@ class KernelCounters:
     per shortest-path search (E11 asserts exactly one per unique demand
     source), every routed pair as ``traffic_assigned_pairs``, and every
     ECMP flow division across tied shortest paths as ``traffic_ecmp_splits``.
-    The hierarchical routing layer (:mod:`repro.routing.hierarchical`)
-    records each overlay construction as ``hier_overlay_builds``, every
-    restricted per-region sweep source as ``hier_region_sweeps``, and every
-    demand pair answered through the overlay tables as ``hier_table_joins``
-    — the E12 many-source gates assert the overlay actually answered the
-    matrix instead of falling back to per-source searches.  The temporal
-    engine (:mod:`repro.routing.temporal`) records every routed series step
+    ``hier_overlay_builds``, ``hier_region_sweeps`` and ``hier_table_joins``
+    stay, always 0: the hierarchical routing overlay that counted them is
+    gone, but every E-suite manifest serializes the full counter snapshot,
+    so dropping a slot would change all 13 manifests (the same reason
+    ``reachability_rebuilds`` stays, below).  The temporal engine
+    (:mod:`repro.routing.temporal`) records every routed series step
     as ``temporal_steps``, every source group actually re-searched by the
     per-step diff as ``temporal_resolved_sources`` (unchanged groups reuse
     retained load columns and are *not* counted — the E13 gates assert the
@@ -334,10 +333,7 @@ class CompiledGraph:
     tuple rows for the Python kernels, named weight columns
     (:meth:`edge_weight_column`), ``scipy.sparse.csr_matrix`` instances per
     weight column (:meth:`scipy_csr`), the sorted half-edge key table
-    behind :meth:`edge_ids_for_pairs`, and the hierarchical routing overlays
-    (``_overlay_cache``, owned by :mod:`repro.routing.hierarchical` and keyed
-    by weight-column name — the "same contract as ``scipy_csr``" invalidation
-    the routing layer documents).
+    behind :meth:`edge_ids_for_pairs`.
     """
 
     __slots__ = (
@@ -359,7 +355,6 @@ class CompiledGraph:
         "_weight_columns",
         "_csr_cache",
         "_edge_lookup",
-        "_overlay_cache",
     )
 
     def __init__(self, topology: Any) -> None:
@@ -441,7 +436,6 @@ class CompiledGraph:
         self._weight_columns: Dict[str, Any] = {}
         self._csr_cache: List[Tuple[Any, Any]] = []
         self._edge_lookup: Optional[Tuple[Any, Any]] = None
-        self._overlay_cache: Dict[Any, Any] = {}
 
     # ------------------------------------------------------------------
     # Derived columns

@@ -8,9 +8,7 @@ provides helpers to inspect and summarize that hierarchy on an annotated
 All aggregate helpers run against the compiled view: level classification is
 a single pass over the compiled endpoint arrays, and nearest-core depths come
 from **one** multi-source BFS (:func:`~repro.topology.compiled.
-multi_source_bfs_indices`) instead of one BFS per core node — the same
-O(V + E) kernels the hierarchical routing overlay
-(:mod:`repro.routing.hierarchical`) partitions with.
+multi_source_bfs_indices`) instead of one BFS per core node.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ def compiled_level_ranks(graph: CompiledGraph) -> List[int]:
     """Hierarchy level rank per compiled node index (0 = core ... 4 = customer).
 
     One pass over the snapshot's node objects; the rank column is what the
-    hierarchical routing partition and the summary helpers classify against.
+    summary helpers classify against.
     """
     return [_ROLE_TO_RANK[node.role] for node in graph.nodes]
 

@@ -278,8 +278,8 @@ def scaling_tier_scenario(
     sizes: Sequence[int] = (100_000, 1_000_000),
     num_endpoints: int = 32,
     parity_max_size: int = 20_000,
-    hier_size: int = 100_000,
-    hier_endpoints: int = 1_024,
+    many_source_size: int = 100_000,
+    many_source_endpoints: int = 1_024,
     seed: int = 61,
 ) -> Scenario:
     """E12 (supplementary): the million-node scale tier.
@@ -290,14 +290,12 @@ def scaling_tier_scenario(
     population centers, and provision — with the scipy batch path asserted
     engaged (``batch_dijkstra_calls``; no silent fallback) and, at sizes up
     to ``parity_max_size``, edge loads cross-checked against the pure-Python
-    reference backend.  A dedicated **hierarchical point** routes the *full*
-    gravity matrix over ``hier_endpoints`` population centers at
-    ``hier_size`` nodes through the overlay engine
-    (:mod:`repro.routing.hierarchical`) with a flat-equivalence gate — the
-    many-source workload the flat one-search-per-source engine cannot reach
-    in the time budget.  Wall-clock and peak RSS land in the task records'
-    timing fields; the ≥5x floors (numpy-vs-python, hierarchical-vs-flat)
-    live in ``benchmarks/bench_scaling_tier.py``.
+    reference backend.  A dedicated **many-source point** routes the *full*
+    gravity matrix over ``many_source_endpoints`` population centers at
+    ``many_source_size`` nodes, one search per unique source (>=1000 at the
+    full size).  Wall-clock and peak RSS land in the task records' timing
+    fields; the ≥5x numpy-vs-python floor lives in
+    ``benchmarks/bench_scaling_tier.py``.
     """
     return Scenario(
         experiment_id="E12",
@@ -316,8 +314,8 @@ def scaling_tier_scenario(
             "num_endpoints": num_endpoints,
             "total_volume": 1_000_000.0,
             "parity_max_size": parity_max_size,
-            "hier_size": hier_size,
-            "hier_endpoints": hier_endpoints,
+            "many_source_size": many_source_size,
+            "many_source_endpoints": many_source_endpoints,
         },
     )
 
@@ -416,8 +414,8 @@ SMOKE_OVERRIDES: Dict[str, Dict[str, object]] = {
     "E12": {
         "sizes": (2_000, 5_000),
         "num_endpoints": 16,
-        "hier_size": 2_000,
-        "hier_endpoints": 48,
+        "many_source_size": 2_000,
+        "many_source_endpoints": 48,
     },
     "E13": {"num_cities": 14, "diurnal_steps": 6, "flash_steps": 8},
 }

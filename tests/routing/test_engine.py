@@ -128,6 +128,25 @@ class TestRouteDemandSingle:
         assert flow.unrouted_volume == pytest.approx(5.0)
         assert flow.max_load() == 0.0
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cross_component_pairs_unrouted(self, backend):
+        # An island off the line: the intra-island pair routes, both pairs
+        # across components are left unrouted with their volumes.
+        topo = line_topology()
+        topo.add_node("i1", location=(5, 5))
+        topo.add_node("i2", location=(5, 6))
+        topo.add_link("i1", "i2")
+        demand = DemandMatrix(endpoints=["i1", "i2", "x"])
+        demand.set_demand("i1", "i2", 3.0)
+        demand.set_demand("i1", "x", 2.0)
+        demand.set_demand("i2", "x", 4.0)
+        flow = route_demand(topo, demand, backend=backend)
+        assert flow.routed_pairs == 1
+        assert len(flow.unrouted) == 2
+        assert flow.routed_volume == 3.0
+        assert flow.unrouted_volume == 6.0
+        assert flow.link_loads() == {("i1", "i2"): 3.0}
+
     def test_flush_reset_and_accumulate(self):
         topo = line_topology()
         for link in topo.links():

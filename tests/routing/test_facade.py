@@ -18,9 +18,9 @@ from repro.economics.cables import default_catalog
 from repro.economics.provisioning import provision_topology
 from repro.geography.demand import DemandMatrix
 from repro.routing.engine import route_demand
+from repro.routing.temporal import DemandSeries, failure_cascade, route_series
 from repro.routing.options import (
     ROUTING_BACKENDS,
-    ROUTING_METHODS,
     ROUTING_MODES,
     RoutingOptions,
 )
@@ -43,11 +43,9 @@ def small_instance():
 class TestPublicSurface:
     def test_every_public_routing_symbol_reachable_from_package(self):
         """The façade contract: ``repro.routing`` re-exports the public API."""
-        for module_name in ("engine", "temporal", "options", "hierarchical"):
+        for module_name in ("engine", "temporal", "options"):
             module = importlib.import_module(f"repro.routing.{module_name}")
             for symbol in module.__all__:
-                if symbol.startswith("AUTO_"):
-                    continue  # hierarchical tuning knobs stay module-level
                 assert hasattr(repro.routing, symbol), (module_name, symbol)
                 assert symbol in repro.routing.__all__, (module_name, symbol)
 
@@ -60,16 +58,32 @@ class TestRoutingOptions:
     def test_bad_field_values_name_the_field(self):
         with pytest.raises(ValueError, match="RoutingOptions.mode"):
             RoutingOptions(mode="all-paths")
-        with pytest.raises(ValueError, match="RoutingOptions.method"):
-            RoutingOptions(method="magic")
         with pytest.raises(ValueError, match="RoutingOptions.backend"):
             RoutingOptions(backend="fortran")
         with pytest.raises(ValueError, match="RoutingOptions.weight"):
             RoutingOptions(weight=3)
 
+    def test_method_field_rejected(self):
+        # One flat engine routes every demand: there is no method switch.
+        with pytest.raises(TypeError, match="method"):
+            RoutingOptions(method="flat")
+
+    @pytest.mark.parametrize(
+        "entry_point, wrap",
+        [
+            (route_demand, lambda demand: demand),
+            (route_series, lambda demand: DemandSeries(steps=[demand])),
+            (failure_cascade, lambda demand: demand),
+        ],
+        ids=["route_demand", "route_series", "failure_cascade"],
+    )
+    def test_entry_points_reject_method_kwarg(self, entry_point, wrap):
+        topo, demand = small_instance()
+        with pytest.raises(TypeError, match="method"):
+            entry_point(topo, wrap(demand), method="flat")
+
     def test_vocabulary_constants(self):
         assert RoutingOptions().mode in ROUTING_MODES
-        assert RoutingOptions().method in ROUTING_METHODS
         assert RoutingOptions().backend in ROUTING_BACKENDS
 
     def test_options_and_kwargs_are_exclusive(self):

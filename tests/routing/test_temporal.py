@@ -197,17 +197,6 @@ class TestRouteSeries:
         with pytest.raises(TopologyError, match="stale step result"):
             step.loads_for(topo)
 
-    def test_hierarchical_method_rejected(self):
-        topo, demand, emap = random_instance(12, 8, 1)
-        series = DemandSeries(steps=[demand])
-        with pytest.raises(ValueError, match="method='flat' only"):
-            route_series(
-                topo,
-                series,
-                endpoint_map=emap,
-                options=RoutingOptions(method="hierarchical"),
-            )
-
     def test_unreachable_demand_is_shed(self):
         topo, demand, emap = random_instance(10, 6, 3)
         topo.add_node("island", location=(5.0, 5.0))
